@@ -1,0 +1,10 @@
+"""Put the benchmark's modules and the checkout's package on the path.
+
+Run from the checkout root:  python3 -m pytest perfbench/tests
+"""
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
