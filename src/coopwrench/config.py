@@ -243,11 +243,11 @@ class TrajectorySpec:
 class ScenarioConfig:
     """Everything a run needs: models, trajectory, and solver settings.
 
-    ``mode`` selects which capability series a run produces; ``both`` pairs
-    the baseline solve with the fixed-share counterbalance solve on the same
-    states.  ``beta_policy`` chooses how the load-share vector is formed and
-    ``beta_iterations`` adds optional fixed-point refinement passes of the
-    share vector (0 keeps the single two-pass evaluation).
+    ``mode`` selects which capability series a run produces; ``both`` is an
+    alias of ``improved-fixed-alpha`` (identical samples).  ``beta_policy``
+    chooses how the load-share vector is formed and ``beta_iterations`` adds
+    optional fixed-point refinement passes of the share vector (0 keeps the
+    single two-pass evaluation).
     """
 
     manipulators: tuple[ManipulatorModel, ...]
@@ -272,8 +272,8 @@ class ScenarioConfig:
         ids = [m.id for m in self.manipulators]
         if len(set(ids)) != len(ids):
             raise ScenarioValidationError("manipulator ids must be unique")
-        if self.dt <= 0.0:
-            raise ScenarioValidationError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ScenarioValidationError("dt must be positive and finite")
         if int(self.cycles) != self.cycles or self.cycles < 1:
             raise ScenarioValidationError("cycles must be an integer >= 1")
         _set(self, "cycles", int(self.cycles))
@@ -282,8 +282,9 @@ class ScenarioConfig:
         if self.beta_policy not in BETA_POLICIES:
             raise ScenarioValidationError(
                 f"beta_policy must be one of {BETA_POLICIES}")
-        if self.unbounded_cap <= 0.0:
-            raise ScenarioValidationError("unbounded_cap must be positive")
+        if not 0.0 < self.unbounded_cap < math.inf:
+            raise ScenarioValidationError(
+                "unbounded_cap must be positive and finite")
         if int(self.beta_iterations) != self.beta_iterations or \
                 self.beta_iterations < 0:
             raise ScenarioValidationError("beta_iterations must be >= 0")
@@ -305,6 +306,29 @@ def _require(mapping, key, context):
     if key not in mapping:
         raise ScenarioValidationError(f"{context}: missing required key '{key}'")
     return mapping[key]
+
+
+def _mapping(value, context):
+    if not isinstance(value, dict):
+        raise ScenarioValidationError(f"{context} must be a mapping")
+    return value
+
+
+def _number(mapping, key, context, default=None, integer=False):
+    """The finite number (or integer) under key; required without default."""
+    value = _require(mapping, key, context) if default is None \
+        else mapping.get(key, default)
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if integer and number.is_integer():
+        return value if isinstance(value, int) else int(number)
+    if not integer and math.isfinite(number):
+        return number
+    kind = "an integer" if integer else "a finite number"
+    raise ScenarioValidationError(
+        f"{context}: '{key}' must be {kind}, got {value!r}")
 
 
 def _check_keys(mapping, allowed, context):
@@ -338,10 +362,10 @@ def parse_scenario(text):
         raise ScenarioValidationError(
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
 
-    obj_doc = _require(doc, "object", "scenario")
+    obj_doc = _mapping(_require(doc, "object", "scenario"), "object")
     _check_keys(obj_doc, ("mass", "inertia", "dimensions", "grasp_points"),
                 "object")
-    mass = float(_require(obj_doc, "mass", "object"))
+    mass = _number(obj_doc, "mass", "object")
     if mass <= 0.0:
         raise ScenarioValidationError("mass must be positive")
     dimensions = obj_doc.get("dimensions")
@@ -360,14 +384,14 @@ def parse_scenario(text):
         dimensions=dimensions,
     )
 
-    traj_doc = _require(doc, "trajectory", "scenario")
+    traj_doc = _mapping(_require(doc, "trajectory", "scenario"), "trajectory")
     _check_keys(traj_doc, ("kind", "center", "radius", "angular_rate"),
                 "trajectory")
     traj = TrajectorySpec(
         kind=_require(traj_doc, "kind", "trajectory"),
         center=traj_doc.get("center", (0.0, 0.0, 0.0)),
-        radius=float(traj_doc.get("radius", 0.0)),
-        angular_rate=float(traj_doc.get("angular_rate", 0.0)),
+        radius=_number(traj_doc, "radius", "trajectory", 0.0),
+        angular_rate=_number(traj_doc, "angular_rate", "trajectory", 0.0),
     )
 
     arm_docs = _require(doc, "manipulators", "scenario")
@@ -376,11 +400,12 @@ def parse_scenario(text):
     arms = []
     for idx, arm in enumerate(arm_docs):
         context = f"manipulators[{idx}]"
+        arm = _mapping(arm, context)
         _check_keys(arm, ("id", "base_position", "link_lengths", "link_masses",
                           "link_com_offsets", "link_inertias", "torque_limits",
                           "velocity_limits", "approximate"), context)
         arms.append(ManipulatorModel(
-            id=int(_require(arm, "id", context)),
+            id=_number(arm, "id", context, integer=True),
             base_position=_require(arm, "base_position", context),
             link_lengths=_require(arm, "link_lengths", context),
             link_masses=_require(arm, "link_masses", context),
@@ -395,13 +420,14 @@ def parse_scenario(text):
         manipulators=tuple(arms),
         object=obj,
         trajectory=traj,
-        gravity=float(doc.get("gravity", STANDARD_GRAVITY)),
-        dt=float(doc.get("dt", 0.01)),
-        cycles=doc.get("cycles", 2),
+        gravity=_number(doc, "gravity", "scenario", STANDARD_GRAVITY),
+        dt=_number(doc, "dt", "scenario", 0.01),
+        cycles=_number(doc, "cycles", "scenario", 2, integer=True),
         mode=doc.get("mode", "both"),
-        unbounded_cap=float(doc.get("unbounded_cap", 1e6)),
+        unbounded_cap=_number(doc, "unbounded_cap", "scenario", 1e6),
         beta_policy=doc.get("beta_policy", "proportional"),
-        beta_iterations=doc.get("beta_iterations", 0),
+        beta_iterations=_number(doc, "beta_iterations", "scenario", 0,
+                                integer=True),
     )
 
 

@@ -6,24 +6,21 @@ manipulator from closed-form plus differential inverse kinematics, chain
 self-load torques from inverse dynamics, then the capability solves for the
 configured mode.  The load-share vector comes from the baseline solve, so
 every mode computes the baseline series; improved modes add the
-counterbalanced series on the identical states.
+counterbalanced series on the identical states.  Steps run serially, in
+order, and every pass solves each manipulator once.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .capability import (FLAG_INFEASIBLE, FLAG_SINGULAR, FLAG_VELOCITY,
-                         CapabilityProblem, CapabilitySample,
-                         capability_scalar, group_capability,
-                         group_capability_joint)
-from .config import ObjectState, ScenarioValidationError, Wrench, scenario_dict
+from .capability import (FLAG_SINGULAR, FLAG_VELOCITY, CapabilityProblem,
+                         CapabilitySample, capability_scalar,
+                         group_capability, group_capability_joint)
+from .config import ObjectState, scenario_dict
 from .dynamics import inverse_dynamics, object_desired_wrench
 from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
                     allocate_proportional, counterbalance_moment)
@@ -31,7 +28,6 @@ from .kinematics import (JointState, differential_ik, ee_accel_from_object,
                          ee_pose_from_object, ee_twist_from_object,
                          ik_planar3r, jacobian, joint_positions)
 
-THREADS_ENV = "COOPWRENCH_THREADS"
 _BETA_TOL = 1e-6
 
 CSV_FIXED_COLUMNS = ("t", "K0", "K1", "tdelta_y", "flags")
@@ -124,18 +120,18 @@ def _solve_ik_paths(config, states):
     return paths
 
 
-def _step_sample(config, states, times, ik_paths, step):
-    """Run the capability pipeline for one time step."""
-    state = states[step]
+def _step_sample(config, state, t, joints):
+    """Run the capability pipeline for one time step.
+
+    ``joints`` holds each manipulator's joint positions at ``state``.
+    """
     h_d = object_desired_wrench(config.object, state, config.gravity)
     h_d6 = h_d.as_vector()
     step_flags = set()
 
-    jacobians = []
-    tau_primes = []
-    for a, model in enumerate(config.manipulators):
-        grasp_point = config.object.grasp_points[a]
-        q = ik_paths[a][step]
+    arms = []  # (Jacobian, self-load torques, torque limits) per manipulator
+    for model, grasp_point, q in zip(config.manipulators,
+                                     config.object.grasp_points, joints):
         motion = differential_ik(
             model, JointState(q),
             ee_twist_from_object(state, grasp_point),
@@ -144,27 +140,22 @@ def _step_sample(config, states, times, ik_paths, step):
             step_flags.add(FLAG_SINGULAR)
         if np.any(np.abs(motion.qdot) > model.velocity_limits):
             step_flags.add(FLAG_VELOCITY)
-        tau_primes.append(inverse_dynamics(
-            model, JointState(q, motion.qdot, motion.qddot), config.gravity))
-        jacobians.append(jacobian(model, q))
+        tau_prime = inverse_dynamics(
+            model, JointState(q, motion.qdot, motion.qddot), config.gravity)
+        arms.append((jacobian(model, q), tau_prime, model.torque_limits))
 
     cap = config.unbounded_cap
-    count = len(config.manipulators)
+    count = len(arms)
 
     def build_problems(h_delta6):
         return [CapabilityProblem(
-            jt_hd=jacobians[a].T @ h_d6,
-            jt_hdelta=jacobians[a].T @ h_delta6,
-            tau_prime=tau_primes[a],
-            tau_max=config.manipulators[a].torque_limits,
-            jacobian=jacobians[a],
-        ) for a in range(count)]
+            jt_hd=jac.T @ h_d6, jt_hdelta=jac.T @ h_delta6,
+            tau_prime=tau_prime, tau_max=tau_max)
+            for jac, tau_prime, tau_max in arms]
 
-    baseline_problems = build_problems(np.zeros(6))
     k0 = np.empty(count)
-    for a in range(count):
-        k0[a], flag = capability_scalar(baseline_problems[a],
-                                        unbounded_cap=cap)
+    for a, problem in enumerate(build_problems(np.zeros(6))):
+        k0[a], flag = capability_scalar(problem, unbounded_cap=cap)
         if flag is not None:
             step_flags.add(flag)
     K0 = float(np.sum(k0))
@@ -179,46 +170,34 @@ def _step_sample(config, states, times, ik_paths, step):
 
     beta = shares(k0)
     grasp_map = GraspMap.from_object(config.object, state.orientation)
-    t = float(times[step])
 
     if config.mode == "baseline":
-        sample = group_capability(
-            baseline_problems, "baseline", AllocationWeights(beta),
-            time=t, unbounded_cap=cap)
         t_delta, _ = counterbalance_moment(
             AllocationWeights(beta), grasp_map, h_d.force)
-        return _merge_sample(sample, K0=K0, K1=None, t_delta=t_delta,
-                             flags=step_flags | sample.flags)
+        return CapabilitySample(time=t, k=k0, K0=K0, K1=None, beta=beta,
+                                alpha=None, t_delta=t_delta, flags=step_flags)
 
-    improved = None
-    t_delta = np.zeros(3)
     for _ in range(config.beta_iterations + 1):
-        t_delta, h_delta = counterbalance_moment(
-            AllocationWeights(beta), grasp_map, h_d.force)
+        weights = AllocationWeights(beta, beta)
+        t_delta, h_delta = counterbalance_moment(weights, grasp_map, h_d.force)
         problems = build_problems(h_delta.as_vector())
         if config.mode == "improved-joint":
             improved = group_capability_joint(
                 problems, beta, time=t, t_delta=t_delta, unbounded_cap=cap)
         else:
             improved = group_capability(
-                problems, "improved-fixed-alpha",
-                AllocationWeights(beta, beta), time=t, t_delta=t_delta,
-                unbounded_cap=cap)
-        total = float(np.sum(improved.k))
-        if total <= 0.0:
+                problems, "improved-fixed-alpha", weights, time=t,
+                t_delta=t_delta, unbounded_cap=cap)
+        if float(np.sum(improved.k)) <= 0.0:
             break
         refined = shares(improved.k)
         if float(np.max(np.abs(refined - beta))) <= _BETA_TOL:
             break
         beta = refined
-    return _merge_sample(improved, K0=K0, K1=improved.K1, t_delta=t_delta,
-                         flags=step_flags | improved.flags)
-
-
-def _merge_sample(sample, K0, K1, t_delta, flags):
     return CapabilitySample(
-        time=sample.time, k=sample.k, K0=K0, K1=K1, beta=sample.beta,
-        alpha=sample.alpha, t_delta=t_delta, flags=frozenset(flags))
+        time=t, k=improved.k, K0=K0, K1=improved.K1, beta=improved.beta,
+        alpha=improved.alpha, t_delta=t_delta,
+        flags=step_flags | improved.flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,41 +256,18 @@ class RunResult:
     summary: RunSummary
 
 
-def _thread_count(explicit=None):
-    if explicit is not None:
-        value = explicit
-    else:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ScenarioValidationError(
-                f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ScenarioValidationError(f"{THREADS_ENV} must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+def run_scenario(config, mode=None, dt=None, cycles=None):
+    """Evaluate a scenario over its whole time grid, one step after another.
 
-
-def run_scenario(config, mode=None, dt=None, cycles=None, threads=None):
-    """Evaluate a scenario over its whole time grid.
-
-    mode/dt/cycles override the config when given.  Worker parallelism is
-    bounded by the COOPWRENCH_THREADS environment variable (0 = one per CPU)
-    unless ``threads`` overrides it; results are ordered by step regardless.
+    mode/dt/cycles override the config when given.
     """
     config = config.with_overrides(mode=mode, dt=dt, cycles=cycles)
     times = time_grid(config)
     states = [evaluate_trajectory(config.trajectory, t) for t in times]
     ik_paths = _solve_ik_paths(config, states)
-    worker = partial(_step_sample, config, states, times, ik_paths)
-    workers = _thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = tuple(pool.map(worker, range(len(times))))
-    else:
-        samples = tuple(worker(s) for s in range(len(times)))
+    samples = tuple(
+        _step_sample(config, state, float(t), joints)
+        for state, t, joints in zip(states, times, zip(*ik_paths)))
     return RunResult(config=config, samples=samples,
                      summary=summarize(samples))
 
@@ -345,14 +301,10 @@ def _sample_row(sample, count):
     return row
 
 
-def _result_manipulator_count(result):
-    return len(result.config.manipulators)
-
-
 def export(result, fmt, path):
     """Write a RunResult as 'csv' (series table) or 'json' (full mirror)."""
     if fmt == "csv":
-        count = _result_manipulator_count(result)
+        count = len(result.config.manipulators)
         lines = [",".join(_csv_header(count))]
         lines += [",".join(_sample_row(s, count)) for s in result.samples]
         payload = "\n".join(lines) + "\n"

@@ -41,6 +41,14 @@ def test_validate_rejects_broken_scenario(tmp_path, capsys):
     assert "mass must be positive" in capsys.readouterr().err
 
 
+def test_validate_non_integer_id_exits_validation(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path, REFERENCE_SCENARIO_TEXT.replace("- id: 1", "- id: abc"))
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "'id' must be an integer" in err and "Traceback" not in err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["validate", "--config", str(missing)]) == EXIT_VALIDATION
@@ -97,6 +105,14 @@ def test_run_bad_config_exits_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_VALIDATION
     assert "dt must be positive" in capsys.readouterr().err
+
+
+def test_run_non_finite_dt_override_exits_validation(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    code = main(["run", "--config", str(path), "--dt", "nan",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_VALIDATION
+    assert "dt must be positive and finite" in capsys.readouterr().err
 
 
 def test_run_unreachable_trajectory_exits_runtime(tmp_path, capsys):

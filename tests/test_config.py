@@ -178,6 +178,51 @@ def test_solver_setting_invariants():
             reparse(doc)
 
 
+def test_non_integer_manipulator_id_names_the_key():
+    doc = scenario_dict(reference_scenario())
+    doc["manipulators"][0]["id"] = "abc"
+    with pytest.raises(ScenarioValidationError,
+                       match=r"manipulators\[0\]: 'id' must be an integer"):
+        reparse(doc)
+
+
+def test_non_mapping_sections_name_the_key():
+    doc = scenario_dict(reference_scenario())
+    doc["manipulators"][1] = 5
+    with pytest.raises(ScenarioValidationError,
+                       match=r"manipulators\[1\] must be a mapping"):
+        reparse(doc)
+    for key in ("object", "trajectory"):
+        doc = scenario_dict(reference_scenario())
+        doc[key] = [1.0]
+        with pytest.raises(ScenarioValidationError,
+                           match=f"{key} must be a mapping"):
+            reparse(doc)
+
+
+def test_boolean_cycles_rejected():
+    doc = scenario_dict(reference_scenario())
+    doc["cycles"] = True
+    with pytest.raises(ScenarioValidationError, match="'cycles'"):
+        reparse(doc)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "dt", math.nan),
+    (None, "gravity", math.nan),
+    (None, "unbounded_cap", math.inf),
+    ("object", "mass", math.nan),
+    ("trajectory", "radius", math.nan),
+    ("trajectory", "angular_rate", math.inf),
+])
+def test_non_finite_number_rejected_at_parse_time(section, key, value):
+    doc = scenario_dict(reference_scenario())
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ScenarioValidationError,
+                       match=f"'{key}' must be a finite number"):
+        reparse(doc)
+
+
 def test_manipulator_invariants():
     def arm(**overrides):
         fields = dict(

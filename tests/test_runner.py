@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from coopwrench import (AllocationWeights, ExportError, GraspMap,
-                        RunResult, ScenarioValidationError, TrajectoryError,
-                        TrajectorySpec, Wrench, evaluate_trajectory, export,
-                        object_desired_wrench, object_wrench_from_ee,
-                        reference_scenario, run_scenario, summarize,
-                        time_grid)
-from coopwrench.runner import THREADS_ENV, emit_plot_data, result_dict
+from coopwrench import (AllocationWeights, ExportError, GraspMap, RunResult,
+                        TrajectoryError, TrajectorySpec, Wrench, capability,
+                        evaluate_trajectory, export, object_desired_wrench,
+                        object_wrench_from_ee, reference_scenario, runner,
+                        run_scenario, summarize, time_grid)
+from coopwrench.runner import emit_plot_data, result_dict
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +97,15 @@ def test_both_mode_produces_aligned_series(short_both):
     assert result.summary.sample_count == 101
     assert result.summary.k0_min is not None
     assert result.summary.k1_min is not None
+    # 'both' is an alias of 'improved-fixed-alpha': identical samples
+    fixed = run_scenario(reference_scenario(), mode="improved-fixed-alpha",
+                         dt=0.05, cycles=1)
+    assert len(fixed.samples) == len(result.samples)
+    for a, b in zip(fixed.samples, result.samples):
+        assert a.time == b.time and a.K0 == b.K0 and a.K1 == b.K1
+        for name in ("k", "beta", "alpha", "t_delta"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.flags == b.flags
 
 
 def test_joint_mode_fills_alpha_and_dominates(short_joint):
@@ -179,24 +187,26 @@ def test_velocity_flag_marks_but_does_not_change_capability(short_both):
     assert flagged.summary.flagged_steps > short_both.summary.flagged_steps
 
 
-def test_thread_pool_matches_serial(short_both):
-    threaded = run_scenario(reference_scenario(), dt=0.05, cycles=1,
-                            threads=2)
-    for a, b in zip(threaded.samples, short_both.samples):
-        assert a.time == b.time
-        np.testing.assert_array_equal(a.k, b.k)
-        assert a.K0 == b.K0 and a.K1 == b.K1
+def test_baseline_mode_solves_each_arm_once_per_step(monkeypatch):
+    calls = []
+    solve = capability.capability_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    # group_capability reaches the solver through the capability module
+    monkeypatch.setattr(runner, "capability_scalar", counted)
+    monkeypatch.setattr(capability, "capability_scalar", counted)
+    result = run_scenario(reference_scenario(), mode="baseline", dt=0.5,
+                          cycles=1)
+    arms = len(result.config.manipulators)
+    assert len(calls) == arms * len(result.samples) == 4 * 11
 
 
-def test_thread_env_is_validated(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "not-a-number")
-    with pytest.raises(ScenarioValidationError, match=THREADS_ENV):
-        run_scenario(reference_scenario(), dt=0.5, cycles=1)
-    monkeypatch.setenv(THREADS_ENV, "2")
-    result = run_scenario(reference_scenario(), dt=0.5, cycles=1)
-    assert len(result.samples) == 11
-    with pytest.raises(ScenarioValidationError, match=">= 0"):
-        run_scenario(reference_scenario(), dt=0.5, cycles=1, threads=-1)
+def test_run_scenario_has_no_thread_option():
+    with pytest.raises(TypeError):
+        run_scenario(reference_scenario(), dt=0.5, cycles=1, threads=2)
 
 
 def test_csv_contract(tmp_path, short_both):
