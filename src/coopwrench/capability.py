@@ -16,15 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioValidationError, _set
+from .config import DEFAULT_UNBOUNDED_CAP, ScenarioValidationError, _set
 from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, simplex_solve
 
 FLAG_INFEASIBLE = "infeasible"
 FLAG_UNBOUNDED = "capability-unbounded"
 FLAG_SINGULAR = "singular-damped"
 FLAG_VELOCITY = "velocity-limit"
-
-DEFAULT_UNBOUNDED_CAP = 1e6
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ built-in texts below double as annotated examples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -20,6 +20,11 @@ BETA_POLICIES = ("proportional", "uniform")
 TRAJECTORY_KINDS = ("circle", "static-hold")
 
 STANDARD_GRAVITY = 9.8067
+DEFAULT_UNBOUNDED_CAP = 1e6
+
+# Largest time grid a scenario may request (cycles * period / dt steps); at a
+# few kilobytes and milliseconds per step this bounds a run near 250 MB.
+MAX_GRID_STEPS = 100_000
 
 
 class ScenarioError(Exception):
@@ -42,9 +47,13 @@ class ScenarioValidationError(ScenarioError):
 
 
 def _freeze(values, shape, name):
-    """Coerce to a read-only float array of the given shape."""
-    arr = np.array(values, dtype=float)
-    if arr.shape != shape:
+    """Coerce to a read-only finite float array (of the given shape, if any)."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioValidationError(
+            f"{name} must be an array of numbers") from None
+    if shape is not None and arr.shape != shape:
         raise ScenarioValidationError(
             f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -133,27 +142,26 @@ class ManipulatorModel:
     approximate: bool = False
 
     def __post_init__(self):
-        n = np.asarray(self.link_lengths).size
+        arm = f"manipulator {self.id}"
+        n = _freeze(self.link_lengths, None, f"{arm}: link_lengths").size
         if n < 2:
-            raise ScenarioValidationError(
-                f"manipulator {self.id}: joint count must be at least 2")
+            raise ScenarioValidationError(f"{arm}: joint count must be at least 2")
         _set(self, "base_position",
-             _freeze(self.base_position, (3,), "base_position"))
+             _freeze(self.base_position, (3,), f"{arm}: base_position"))
         for name in ("link_lengths", "link_masses", "link_com_offsets",
                      "link_inertias", "torque_limits", "velocity_limits"):
-            _set(self, name, _freeze(getattr(self, name), (n,), name))
+            _set(self, name, _freeze(getattr(self, name), (n,), f"{arm}: {name}"))
         for name in ("link_lengths", "link_masses", "torque_limits",
                      "velocity_limits"):
             if np.any(getattr(self, name) <= 0.0):
                 raise ScenarioValidationError(
-                    f"manipulator {self.id}: {name} must be strictly positive")
+                    f"{arm}: {name} must be strictly positive")
         if np.any(self.link_inertias < 0.0):
-            raise ScenarioValidationError(
-                f"manipulator {self.id}: link_inertias must be non-negative")
+            raise ScenarioValidationError(f"{arm}: link_inertias must be non-negative")
         if np.any(self.link_com_offsets < 0.0) or np.any(
                 self.link_com_offsets > self.link_lengths):
             raise ScenarioValidationError(
-                f"manipulator {self.id}: link_com_offsets must lie on the link")
+                f"{arm}: link_com_offsets must lie on the link")
 
     @property
     def joint_count(self):
@@ -178,12 +186,9 @@ class RigidObjectModel:
         if self.mass <= 0.0:
             raise ScenarioValidationError("mass must be positive")
         _set(self, "inertia", _freeze(self.inertia, (3, 3), "inertia"))
-        pts = np.array(self.grasp_points, dtype=float)
+        pts = _freeze(self.grasp_points, None, "grasp_points")
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ScenarioValidationError("grasp_points must be an N x 3 array")
-        if not np.all(np.isfinite(pts)):
-            raise ScenarioValidationError("grasp_points must be finite")
-        pts.flags.writeable = False
         _set(self, "grasp_points", pts)
         if self.dimensions is not None:
             _set(self, "dimensions", _freeze(self.dimensions, (3,), "dimensions"))
@@ -200,7 +205,7 @@ class RigidObjectModel:
 
 def cuboid_inertia(mass, dimensions):
     """Inertia tensor of a uniform solid cuboid about its center of mass."""
-    lx, ly, lz = np.asarray(dimensions, dtype=float)
+    lx, ly, lz = _freeze(dimensions, (3,), "dimensions")
     return np.diag([
         mass * (ly ** 2 + lz ** 2) / 12.0,
         mass * (lx ** 2 + lz ** 2) / 12.0,
@@ -217,7 +222,7 @@ class TrajectorySpec:
     """
 
     kind: str
-    center: np.ndarray
+    center: np.ndarray = (0.0, 0.0, 0.0)
     radius: float = 0.0
     angular_rate: float = 0.0
 
@@ -257,7 +262,7 @@ class ScenarioConfig:
     dt: float = 0.01
     cycles: int = 2
     mode: str = "both"
-    unbounded_cap: float = 1e6
+    unbounded_cap: float = DEFAULT_UNBOUNDED_CAP
     beta_policy: str = "proportional"
     beta_iterations: int = 0
 
@@ -272,6 +277,10 @@ class ScenarioConfig:
         ids = [m.id for m in self.manipulators]
         if len(set(ids)) != len(ids):
             raise ScenarioValidationError("manipulator ids must be unique")
+        for arm in self.manipulators:  # the IK is the closed-form 3R solution
+            if arm.joint_count != 3:
+                raise ScenarioValidationError(
+                    f"manipulator {arm.id}: joint count must be 3")
         if not 0.0 < self.dt < math.inf:
             raise ScenarioValidationError("dt must be positive and finite")
         if int(self.cycles) != self.cycles or self.cycles < 1:
@@ -289,53 +298,84 @@ class ScenarioConfig:
                 self.beta_iterations < 0:
             raise ScenarioValidationError("beta_iterations must be >= 0")
         _set(self, "beta_iterations", int(self.beta_iterations))
+        try:
+            steps = self.step_count
+        except OverflowError:  # an infinite period or a float-overflowing count
+            steps = math.inf
+        if steps > MAX_GRID_STEPS:
+            raise ScenarioValidationError(
+                f"dt/cycles give {steps} time steps, above {MAX_GRID_STEPS}")
+
+    @property
+    def step_count(self):
+        """Steps on the time grid: cycles * period / dt, rounded."""
+        return round(self.cycles * self.trajectory.period() / self.dt)
 
     def with_overrides(self, mode=None, dt=None, cycles=None):
-        """A copy with run-time overrides applied (None keeps the field)."""
-        cfg = self
-        if mode is not None:
-            cfg = replace(cfg, mode=mode)
-        if dt is not None:
-            cfg = replace(cfg, dt=dt)
-        if cycles is not None:
-            cfg = replace(cfg, cycles=cycles)
-        return cfg
+        """A copy with the overrides applied together (None keeps the field)."""
+        overrides = {"mode": mode, "dt": dt, "cycles": cycles}
+        return replace(self, **{key: value for key, value in overrides.items()
+                                if value is not None})
 
 
-def _require(mapping, key, context):
-    if key not in mapping:
-        raise ScenarioValidationError(f"{context}: missing required key '{key}'")
-    return mapping[key]
+# The scenario file schema: the keys of each section in file order.  Every
+# key is a field of the section's dataclass (besides schema_version and the
+# nested sections), and a key is optional exactly when its field has a
+# default, so the dataclasses hold the only defaults.
+SETTINGS_KEYS = ("mode", "gravity", "dt", "cycles", "unbounded_cap",
+                 "beta_policy", "beta_iterations")
+SCENARIO_KEYS = ("schema_version", *SETTINGS_KEYS,
+                 "object", "trajectory", "manipulators")
+OBJECT_KEYS = ("mass", "inertia", "grasp_points", "dimensions")
+TRAJECTORY_KEYS = ("kind", "center", "radius", "angular_rate")
+MANIPULATOR_KEYS = ("id", "base_position", "link_lengths", "link_masses",
+                    "link_com_offsets", "link_inertias", "torque_limits",
+                    "velocity_limits", "approximate")
+
+# Scalar types; array values are coerced by the dataclasses through _freeze.
+FLOAT_KEYS = ("gravity", "dt", "unbounded_cap", "mass", "radius",
+              "angular_rate")
+INTEGER_KEYS = ("schema_version", "cycles", "beta_iterations", "id")
+BOOLEAN_KEYS = ("approximate",)
 
 
-def _mapping(value, context):
-    if not isinstance(value, dict):
-        raise ScenarioValidationError(f"{context} must be a mapping")
-    return value
-
-
-def _number(mapping, key, context, default=None, integer=False):
-    """The finite number (or integer) under key; required without default."""
-    value = _require(mapping, key, context) if default is None \
-        else mapping.get(key, default)
+def _scalar(key, value, context):
+    """The value under key coerced to its scalar type; others pass through."""
+    if key not in FLOAT_KEYS + INTEGER_KEYS + BOOLEAN_KEYS or (
+            key in BOOLEAN_KEYS and isinstance(value, bool)):
+        return value
     try:
         number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
-    if integer and number.is_integer():
+    if key in INTEGER_KEYS and number.is_integer():
         return value if isinstance(value, int) else int(number)
-    if not integer and math.isfinite(number):
+    if key in FLOAT_KEYS and math.isfinite(number):
         return number
-    kind = "an integer" if integer else "a finite number"
+    kind = "a boolean" if key in BOOLEAN_KEYS else \
+        "an integer" if key in INTEGER_KEYS else "a finite number"
     raise ScenarioValidationError(
         f"{context}: '{key}' must be {kind}, got {value!r}")
 
 
-def _check_keys(mapping, allowed, context):
-    unknown = set(mapping) - set(allowed)
+def _section(doc, keys, context):
+    """The present keys of a mapping with their scalars coerced."""
+    if not isinstance(doc, dict):
+        raise ScenarioValidationError(f"{context} must be a mapping")
+    unknown = set(doc).difference(keys)
     if unknown:
         raise ScenarioValidationError(
-            f"{context}: unknown key(s) {sorted(unknown)}")
+            f"{context}: unknown key(s) {sorted(unknown, key=str)}")
+    return {key: _scalar(key, doc[key], context) for key in keys if key in doc}
+
+
+def _complete(cls, values, context):
+    """values, once each field of cls without a default is among them."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ScenarioValidationError(
+                f"{context}: missing required key '{f.name}'")
+    return values
 
 
 def parse_scenario(text):
@@ -351,128 +391,52 @@ def parse_scenario(text):
         ) from exc
     except yaml.YAMLError as exc:
         raise ScenarioSyntaxError(f"invalid scenario syntax: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioValidationError("scenario document must be a mapping")
 
-    _check_keys(doc, ("schema_version", "mode", "gravity", "dt", "cycles",
-                      "unbounded_cap", "beta_policy", "beta_iterations",
-                      "object", "trajectory", "manipulators"), "scenario")
-    version = _require(doc, "schema_version", "scenario")
+    doc = _complete(ScenarioConfig, _section(doc, SCENARIO_KEYS, "scenario"),
+                    "scenario")
+    version = doc.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise ScenarioValidationError(
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
-
-    obj_doc = _mapping(_require(doc, "object", "scenario"), "object")
-    _check_keys(obj_doc, ("mass", "inertia", "dimensions", "grasp_points"),
-                "object")
-    mass = _number(obj_doc, "mass", "object")
-    if mass <= 0.0:
-        raise ScenarioValidationError("mass must be positive")
-    dimensions = obj_doc.get("dimensions")
-    if "inertia" in obj_doc:
-        inertia = np.array(obj_doc["inertia"], dtype=float)
-    elif dimensions is not None:
-        inertia = cuboid_inertia(mass, dimensions)
-    else:
-        raise ScenarioValidationError(
-            "object: provide 'inertia' or 'dimensions' to derive it from")
-    obj = RigidObjectModel(
-        mass=mass,
-        inertia=inertia,
-        grasp_points=np.array(_require(obj_doc, "grasp_points", "object"),
-                              dtype=float),
-        dimensions=dimensions,
-    )
-
-    traj_doc = _mapping(_require(doc, "trajectory", "scenario"), "trajectory")
-    _check_keys(traj_doc, ("kind", "center", "radius", "angular_rate"),
-                "trajectory")
-    traj = TrajectorySpec(
-        kind=_require(traj_doc, "kind", "trajectory"),
-        center=traj_doc.get("center", (0.0, 0.0, 0.0)),
-        radius=_number(traj_doc, "radius", "trajectory", 0.0),
-        angular_rate=_number(traj_doc, "angular_rate", "trajectory", 0.0),
-    )
-
-    arm_docs = _require(doc, "manipulators", "scenario")
-    if not isinstance(arm_docs, list):
+    obj = _section(doc["object"], OBJECT_KEYS, "object")
+    if "inertia" not in obj and {"mass", "dimensions"} <= obj.keys():
+        obj["inertia"] = cuboid_inertia(obj["mass"], obj["dimensions"])
+    doc["object"] = RigidObjectModel(
+        **_complete(RigidObjectModel, obj, "object"))
+    traj = _section(doc["trajectory"], TRAJECTORY_KEYS, "trajectory")
+    doc["trajectory"] = TrajectorySpec(
+        **_complete(TrajectorySpec, traj, "trajectory"))
+    if not isinstance(doc["manipulators"], list):
         raise ScenarioValidationError("manipulators must be a list")
     arms = []
-    for idx, arm in enumerate(arm_docs):
+    for idx, arm in enumerate(doc["manipulators"]):
         context = f"manipulators[{idx}]"
-        arm = _mapping(arm, context)
-        _check_keys(arm, ("id", "base_position", "link_lengths", "link_masses",
-                          "link_com_offsets", "link_inertias", "torque_limits",
-                          "velocity_limits", "approximate"), context)
-        arms.append(ManipulatorModel(
-            id=_number(arm, "id", context, integer=True),
-            base_position=_require(arm, "base_position", context),
-            link_lengths=_require(arm, "link_lengths", context),
-            link_masses=_require(arm, "link_masses", context),
-            link_com_offsets=_require(arm, "link_com_offsets", context),
-            link_inertias=_require(arm, "link_inertias", context),
-            torque_limits=_require(arm, "torque_limits", context),
-            velocity_limits=_require(arm, "velocity_limits", context),
-            approximate=bool(arm.get("approximate", False)),
-        ))
+        arm = _section(arm, MANIPULATOR_KEYS, context)
+        arms.append(ManipulatorModel(**_complete(ManipulatorModel, arm, context)))
+    doc["manipulators"] = arms
+    return ScenarioConfig(**doc)
 
-    return ScenarioConfig(
-        manipulators=tuple(arms),
-        object=obj,
-        trajectory=traj,
-        gravity=_number(doc, "gravity", "scenario", STANDARD_GRAVITY),
-        dt=_number(doc, "dt", "scenario", 0.01),
-        cycles=_number(doc, "cycles", "scenario", 2, integer=True),
-        mode=doc.get("mode", "both"),
-        unbounded_cap=_number(doc, "unbounded_cap", "scenario", 1e6),
-        beta_policy=doc.get("beta_policy", "proportional"),
-        beta_iterations=_number(doc, "beta_iterations", "scenario", 0,
-                                integer=True),
-    )
+
+def _plain(model, keys):
+    """The keys of a model as plain data: arrays become lists, None is left out."""
+    doc = {}
+    for key in keys:
+        value = getattr(model, key)
+        if value is not None:
+            doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def scenario_dict(config):
     """Plain-data document for a ScenarioConfig (the scenario file schema)."""
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
-        "mode": config.mode,
-        "gravity": config.gravity,
-        "dt": config.dt,
-        "cycles": config.cycles,
-        "unbounded_cap": config.unbounded_cap,
-        "beta_policy": config.beta_policy,
-        "beta_iterations": config.beta_iterations,
-        "object": {
-            "mass": config.object.mass,
-            "inertia": [[float(v) for v in row] for row in config.object.inertia],
-            "grasp_points": [[float(v) for v in p]
-                             for p in config.object.grasp_points],
-        },
-        "trajectory": {
-            "kind": config.trajectory.kind,
-            "center": [float(v) for v in config.trajectory.center],
-            "radius": config.trajectory.radius,
-            "angular_rate": config.trajectory.angular_rate,
-        },
-        "manipulators": [
-            {
-                "id": arm.id,
-                "base_position": [float(v) for v in arm.base_position],
-                "link_lengths": [float(v) for v in arm.link_lengths],
-                "link_masses": [float(v) for v in arm.link_masses],
-                "link_com_offsets": [float(v) for v in arm.link_com_offsets],
-                "link_inertias": [float(v) for v in arm.link_inertias],
-                "torque_limits": [float(v) for v in arm.torque_limits],
-                "velocity_limits": [float(v) for v in arm.velocity_limits],
-                "approximate": arm.approximate,
-            }
-            for arm in config.manipulators
-        ],
+        **_plain(config, SETTINGS_KEYS),
+        "object": _plain(config.object, OBJECT_KEYS),
+        "trajectory": _plain(config.trajectory, TRAJECTORY_KEYS),
+        "manipulators": [_plain(arm, MANIPULATOR_KEYS)
+                         for arm in config.manipulators],
     }
-    if config.object.dimensions is not None:
-        doc["object"]["dimensions"] = [float(v)
-                                       for v in config.object.dimensions]
-    return doc
 
 
 def serialize_scenario(config):

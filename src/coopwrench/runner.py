@@ -75,9 +75,7 @@ def evaluate_trajectory(spec, t):
 
 def time_grid(config):
     """Sample times: cycles * period, inclusive of both endpoints."""
-    duration = config.cycles * config.trajectory.period()
-    steps = int(round(duration / config.dt))
-    return np.arange(steps + 1) * config.dt
+    return np.arange(config.step_count + 1) * config.dt
 
 
 def _wrap_angle(delta):

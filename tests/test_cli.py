@@ -1,11 +1,19 @@
 """Command-line entry points, exit codes, and output files."""
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+from coopwrench import runner
 from coopwrench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from coopwrench.config import (ASYMMETRIC_SCENARIO_TEXT,
-                               REFERENCE_SCENARIO_TEXT)
+                               REFERENCE_SCENARIO_TEXT, ScenarioError,
+                               parse_scenario, reference_scenario,
+                               scenario_dict)
 
 
 def write_scenario(tmp_path, text=REFERENCE_SCENARIO_TEXT):
@@ -132,3 +140,74 @@ def test_run_then_validate_round_trip(tmp_path):
     assert main(["reference", "--variant", "reference",
                  "--out", str(scenario)]) == EXIT_OK
     assert main(["validate", "--config", str(scenario)]) == EXIT_OK
+
+
+def test_validate_malformed_array_exits_validation(tmp_path, capsys):
+    path = write_scenario(tmp_path, REFERENCE_SCENARIO_TEXT.replace(
+        "center: [0.35, 0.0, 0.35]", "center: [a, b, c]"))
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "trajectory center must be an array of numbers" in err
+    assert "Traceback" not in err
+
+
+def test_two_joint_arm_is_rejected_by_validate_and_run(tmp_path, capsys):
+    doc = scenario_dict(reference_scenario())
+    for arm in doc["manipulators"]:
+        for key in ("link_lengths", "link_masses", "link_com_offsets",
+                    "link_inertias", "torque_limits", "velocity_limits"):
+            arm[key] = arm[key][:2]
+    path = write_scenario(tmp_path, yaml.safe_dump(doc))
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert main(["run", "--config", str(path), "--dt", "0.5", "--cycles", "1",
+                 "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("manipulator 1: joint count must be 3") == 2
+
+
+def test_run_oversized_grid_exits_before_allocating(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_grid(config):
+        raise AssertionError("the time grid must not be built")
+
+    monkeypatch.setattr(runner, "time_grid", no_grid)
+    path = write_scenario(tmp_path)
+    code = main(["run", "--config", str(path), "--dt", "1e-9",
+                 "--out", str(tmp_path / "x")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "dt/cycles give 10000000000 time steps" in err
+    assert not (tmp_path / "x").exists()
+
+
+# Replacement values for the mutation test: wrong types, boundary numbers,
+# non-finite numbers and wrongly shaped arrays.
+MUTATION_POOL = ("text", None, True, 0, -1, 1e-9, math.nan, math.inf, [],
+                 [1, 2], {"key": 1.0})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.data())
+def test_mutated_builtin_fails_only_with_documented_errors(data):
+    doc = scenario_dict(reference_scenario())
+    section = data.draw(st.sampled_from(
+        [doc, doc["object"], doc["trajectory"], *doc["manipulators"]]))
+    action = data.draw(st.sampled_from(("replace", "delete", "add")))
+    key = "unknown" if action == "add" \
+        else data.draw(st.sampled_from(sorted(section)))
+    if action == "delete":
+        del section[key]
+    else:
+        section[key] = data.draw(st.sampled_from(MUTATION_POOL))
+    text = yaml.safe_dump(doc)
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), text)
+        assert main(["validate", "--config", str(path)]) in (EXIT_OK,
+                                                             EXIT_VALIDATION)
+        assert main(["run", "--config", str(path), "--dt", "0.5",
+                     "--cycles", "1", "--out", str(Path(tmp) / "out")]) in (
+            EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)

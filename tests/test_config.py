@@ -7,10 +7,10 @@ import pytest
 import yaml
 
 from coopwrench import (ManipulatorModel, ObjectState, RigidObjectModel,
-                        ScenarioSyntaxError, ScenarioValidationError,
-                        TrajectorySpec, Wrench, asymmetric_scenario,
-                        cuboid_inertia, parse_scenario, reference_scenario,
-                        scenario_dict, serialize_scenario)
+                        ScenarioConfig, ScenarioSyntaxError,
+                        ScenarioValidationError, TrajectorySpec, Wrench,
+                        asymmetric_scenario, cuboid_inertia, parse_scenario,
+                        reference_scenario, scenario_dict, serialize_scenario)
 from coopwrench.config import REFERENCE_SCENARIO_TEXT, SCENARIO_TEXTS
 
 
@@ -309,3 +309,88 @@ def test_config_is_frozen_and_arrays_read_only():
     assert not config.manipulators[0].link_lengths.flags.writeable
     with pytest.raises(ValueError):
         config.object.grasp_points[0, 0] = 9.9
+
+
+ARM_ARRAYS = ("base_position", "link_lengths", "link_masses",
+              "link_com_offsets", "link_inertias", "torque_limits",
+              "velocity_limits")
+
+
+@pytest.mark.parametrize("section,changes,pattern", [
+    ("object", {"grasp_points": [["a", 0.0, 0.0]] * 4}, "grasp_points"),
+    ("object", {"grasp_points": [[0.1, 0.0, 0.0], [0.0, 0.0]] * 2},
+     "grasp_points"),
+    ("object", {"inertia": "abc"}, "inertia"),
+    ("object", {"dimensions": ["x", 0.02, 0.15]}, "dimensions"),
+    ("object", {"inertia": None, "dimensions": [1.0, 2.0]}, "dimensions"),
+    ("trajectory", {"center": ["a", "b", "c"]}, "center"),
+    ("trajectory", {"center": [0.35, [0.0], 0.35]}, "center"),
+    *[(1, {key: [0.1, "y", 0.1]}, f"manipulator 2: {key}")
+      for key in ARM_ARRAYS],
+    (2, {"link_masses": [[0.1], [0.1, 0.1]]}, "manipulator 3: link_masses"),
+    (0, {"approximate": "no"},
+     r"manipulators\[0\]: 'approximate' must be a boolean"),
+    (0, {"approximate": 1}, "'approximate' must be a boolean"),
+])
+def test_malformed_value_names_its_key(section, changes, pattern):
+    doc = scenario_dict(reference_scenario())
+    target = doc["manipulators"][section] if isinstance(section, int) \
+        else doc[section]
+    for key, value in changes.items():
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    with pytest.raises(ScenarioValidationError, match=pattern):
+        reparse(doc)
+
+
+def test_scenario_arms_need_exactly_three_joints():
+    doc = scenario_dict(reference_scenario())
+    arm = doc["manipulators"][2]
+    for key in ARM_ARRAYS[1:]:
+        arm[key] = arm[key][:2]
+    with pytest.raises(ScenarioValidationError,
+                       match="manipulator 3: joint count must be 3"):
+        reparse(doc)
+
+
+def test_grid_size_is_capped():
+    config = reference_scenario()
+    assert config.step_count == 1000
+    with pytest.raises(ScenarioValidationError,
+                       match=r"dt/cycles give 10000000000 time steps"):
+        config.with_overrides(dt=1e-9)
+    doc = scenario_dict(config)
+    doc["dt"] = 1e-9
+    with pytest.raises(ScenarioValidationError, match="dt/cycles"):
+        reparse(doc)
+    doc = scenario_dict(config)
+    doc["trajectory"]["angular_rate"] = 5e-324  # an infinite period
+    with pytest.raises(ScenarioValidationError, match="inf time steps"):
+        reparse(doc)
+    # overrides are checked together: 2 cycles at this dt exceed the cap,
+    # the requested single cycle does not
+    assert config.with_overrides(dt=6e-5, cycles=1).step_count == 83333
+    assert config.with_overrides(dt=1e-4, cycles=1).step_count == 50000
+
+
+def test_optional_keys_take_the_dataclass_defaults():
+    doc = scenario_dict(reference_scenario())
+    for key in ("mode", "gravity", "dt", "cycles", "unbounded_cap",
+                "beta_policy", "beta_iterations"):
+        del doc[key]
+    del doc["trajectory"]["center"]
+    del doc["manipulators"][0]["approximate"]
+    config = reparse(doc)
+    defaults = ScenarioConfig(config.manipulators, config.object,
+                              config.trajectory)
+    assert scenario_dict(config) == scenario_dict(defaults)
+    np.testing.assert_array_equal(config.trajectory.center, np.zeros(3))
+    assert config.manipulators[0].approximate is False
+    for key in ("object", "trajectory", "manipulators"):
+        doc = scenario_dict(reference_scenario())
+        del doc[key]
+        with pytest.raises(ScenarioValidationError,
+                           match=f"missing required key '{key}'"):
+            reparse(doc)
