@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_UNBOUNDED_CAP, ScenarioValidationError, _set
+from .config import (DEFAULT_UNBOUNDED_CAP, ScenarioValidationError, _freeze,
+                     _set)
 from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, simplex_solve
 
 FLAG_INFEASIBLE = "infeasible"
@@ -31,37 +32,20 @@ class CapabilityProblem:
 
     jt_hd and jt_hdelta are the joint-torque images of the desired object
     wrench and of the compensating wrench; tau_prime the torques already
-    spent carrying the chain itself.  The optional Jacobian allows checking
-    feasibility of arbitrary wrenches after the fact.
+    spent carrying the chain itself.
     """
 
     jt_hd: np.ndarray
     jt_hdelta: np.ndarray
     tau_prime: np.ndarray
     tau_max: np.ndarray
-    jacobian: np.ndarray | None = None
 
     def __post_init__(self):
         n = np.asarray(self.jt_hd).size
         for name in ("jt_hd", "jt_hdelta", "tau_prime", "tau_max"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ScenarioValidationError(
-                    f"{name} must have {n} entries to match jt_hd")
-            if not np.all(np.isfinite(arr)):
-                raise ScenarioValidationError(f"{name} must be finite")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            _set(self, name, arr)
+            _set(self, name, _freeze(getattr(self, name), (n,), name))
         if np.any(self.tau_max <= 0.0):
             raise ScenarioValidationError("tau_max must be strictly positive")
-        if self.jacobian is not None:
-            jac = np.asarray(self.jacobian, dtype=float)
-            if jac.shape != (6, n):
-                raise ScenarioValidationError("jacobian must be 6 x n")
-            jac = jac.copy()
-            jac.flags.writeable = False
-            _set(self, "jacobian", jac)
 
     @property
     def joint_count(self):
@@ -82,19 +66,11 @@ class CapabilitySample:
     flags: frozenset[str]
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=float).copy()
-        k.flags.writeable = False
-        _set(self, "k", k)
-        beta = np.asarray(self.beta, dtype=float).copy()
-        beta.flags.writeable = False
-        _set(self, "beta", beta)
-        if self.alpha is not None:
-            alpha = np.asarray(self.alpha, dtype=float).copy()
-            alpha.flags.writeable = False
-            _set(self, "alpha", alpha)
-        t_delta = np.asarray(self.t_delta, dtype=float).copy()
-        t_delta.flags.writeable = False
-        _set(self, "t_delta", t_delta)
+        optional = () if self.alpha is None else ("alpha",)
+        for name in ("k", "beta", "t_delta", *optional):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            _set(self, name, arr)
         _set(self, "flags", frozenset(self.flags))
 
 
@@ -103,20 +79,19 @@ class ScalarCapability(NamedTuple):
     flag: str | None
 
 
-def capability_scalar(problem, use_delta=False, alpha_i=0.0,
+def capability_scalar(problem, *, alpha_i=0.0,
                       unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     """Largest feasible multiple of the desired wrench for one manipulator.
 
     Solves max k >= 0 subject to |offset + k * jt_hd| <= tau_max per joint,
-    where the offset is tau_prime plus, when use_delta is set, this
-    manipulator's alpha share of the compensating wrench torque image.
+    where the offset is tau_prime plus this manipulator's alpha share of the
+    compensating wrench torque image (alpha_i = 0 is the baseline, bit for
+    bit, since the problem's arrays are finite).
     Rows whose jt_hd entry is zero cannot bound k; they only gate
     feasibility.  If no row bounds k from above the documented cap is
     returned with a flag, as it also is when a finite bound exceeds the cap.
     """
-    offset = problem.tau_prime
-    if use_delta:
-        offset = offset + alpha_i * problem.jt_hdelta
+    offset = problem.tau_prime + alpha_i * problem.jt_hdelta
     a = problem.jt_hd
     tau = problem.tau_max
     fixed = a == 0.0
@@ -136,58 +111,33 @@ def capability_scalar(problem, use_delta=False, alpha_i=0.0,
     return ScalarCapability(upper, None)
 
 
-def feasible_wrench_check(problem, wrench, k):
-    """Whether scaling a wrench by k keeps every joint within its limit.
-
-    wrench may be None to test the problem's own desired wrench; otherwise
-    it is a 6-vector mapped through the stored Jacobian.
-    """
-    if wrench is None:
-        image = problem.jt_hd
-    else:
-        if problem.jacobian is None:
-            raise ValueError("problem carries no jacobian for arbitrary wrenches")
-        vec = wrench.as_vector() if hasattr(wrench, "as_vector") \
-            else np.asarray(wrench, dtype=float)
-        image = problem.jacobian.T @ vec
-    load = problem.tau_prime + k * image
+def feasible_wrench_check(problem, k):
+    """Whether k times the desired wrench keeps every joint in its limit."""
+    load = problem.tau_prime + k * problem.jt_hd
     return bool(np.all(np.abs(load) <= problem.tau_max))
 
 
-def group_capability(problems, mode, weights, *, time=0.0, t_delta=None,
+def group_capability(problems, weights, *, time=0.0, t_delta=None,
                      unbounded_cap=DEFAULT_UNBOUNDED_CAP):
-    """Group capability with per-manipulator scalar solves.
+    """Fixed-alpha group capability K1 from per-manipulator scalar solves.
 
-    mode 'baseline' ignores the compensating wrench; 'improved-fixed-alpha'
-    offsets each manipulator by its fixed alpha share of it.  The summed
-    scalar lands in K0 or K1 accordingly.
+    Each manipulator is offset by its alpha share of the compensating
+    wrench; the summed scalar is K1.
     """
-    if mode not in ("baseline", "improved-fixed-alpha"):
-        raise ValueError(f"unsupported group mode {mode!r}")
-    use_delta = mode == "improved-fixed-alpha"
-    if use_delta and weights.alpha is None:
-        raise ValueError("improved-fixed-alpha mode requires alpha weights")
+    if weights.alpha is None:
+        raise ValueError("fixed-alpha group capability requires alpha weights")
     k = np.empty(len(problems))
     flags = set()
-    for i, problem in enumerate(problems):
-        alpha_i = float(weights.alpha[i]) if use_delta else 0.0
-        k[i], flag = capability_scalar(problem, use_delta, alpha_i,
-                                       unbounded_cap)
+    for i, (problem, alpha_i) in enumerate(zip(problems, weights.alpha)):
+        k[i], flag = capability_scalar(problem, alpha_i=float(alpha_i),
+                                       unbounded_cap=unbounded_cap)
         if flag is not None:
             flags.add(flag)
-    total = float(np.sum(k))
     if t_delta is None:
         t_delta = np.zeros(3)
     return CapabilitySample(
-        time=time,
-        k=k,
-        K0=None if use_delta else total,
-        K1=total if use_delta else None,
-        beta=weights.beta,
-        alpha=weights.alpha,
-        t_delta=t_delta,
-        flags=frozenset(flags),
-    )
+        time=time, k=k, K0=None, K1=float(np.sum(k)), beta=weights.beta,
+        alpha=weights.alpha, t_delta=t_delta, flags=frozenset(flags))
 
 
 def group_capability_joint(problems, beta, *, time=0.0, t_delta=None,

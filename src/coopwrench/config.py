@@ -344,12 +344,14 @@ def _scalar(key, value, context):
     if key not in FLOAT_KEYS + INTEGER_KEYS + BOOLEAN_KEYS or (
             key in BOOLEAN_KEYS and isinstance(value, bool)):
         return value
+    if key in INTEGER_KEYS and type(value) is int:  # exact beyond float range
+        return value
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if key in INTEGER_KEYS and number.is_integer():
-        return value if isinstance(value, int) else int(number)
+        return int(number)
     if key in FLOAT_KEYS and math.isfinite(number):
         return number
     kind = "a boolean" if key in BOOLEAN_KEYS else \

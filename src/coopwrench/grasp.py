@@ -43,13 +43,10 @@ class GraspMap:
     """World-frame grasp geometry for one object state.
 
     ``grasp_vectors`` are the CoM-to-grasp-point offsets rotated into the
-    world; ``matrices`` holds one transmission map per manipulator and
-    ``combined`` their horizontal stack.
+    world; ``grasp_matrix`` maps each one to its transmission matrix.
     """
 
     grasp_vectors: np.ndarray
-    matrices: tuple[np.ndarray, ...]
-    combined: np.ndarray
 
     @classmethod
     def from_object(cls, obj, orientation):
@@ -62,11 +59,8 @@ class GraspMap:
         vectors = np.array(grasp_vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[1] != 3:
             raise ValueError("grasp vectors must be an N x 3 array")
-        matrices = tuple(grasp_matrix(r) for r in vectors)
-        combined = np.hstack(matrices)
         vectors.flags.writeable = False
-        combined.flags.writeable = False
-        return cls(vectors, matrices, combined)
+        return cls(vectors)
 
     @property
     def count(self):
@@ -79,8 +73,8 @@ def object_wrench_from_ee(grasp_map, wrenches):
         raise ValueError(
             f"expected {grasp_map.count} wrenches, got {len(wrenches)}")
     total = np.zeros(6)
-    for G, wrench in zip(grasp_map.matrices, wrenches):
-        total += G @ wrench.as_vector()
+    for r, wrench in zip(grasp_map.grasp_vectors, wrenches):
+        total += grasp_matrix(r) @ wrench.as_vector()
     return Wrench.from_vector(total)
 
 

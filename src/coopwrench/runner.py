@@ -131,8 +131,7 @@ def _step_sample(config, state, t, joints):
     for model, grasp_point, q in zip(config.manipulators,
                                      config.object.grasp_points, joints):
         motion = differential_ik(
-            model, JointState(q),
-            ee_twist_from_object(state, grasp_point),
+            model, q, ee_twist_from_object(state, grasp_point),
             ee_accel_from_object(state, grasp_point))
         if motion.damped:
             step_flags.add(FLAG_SINGULAR)
@@ -184,8 +183,7 @@ def _step_sample(config, state, t, joints):
                 problems, beta, time=t, t_delta=t_delta, unbounded_cap=cap)
         else:
             improved = group_capability(
-                problems, "improved-fixed-alpha", weights, time=t,
-                t_delta=t_delta, unbounded_cap=cap)
+                problems, weights, time=t, t_delta=t_delta, unbounded_cap=cap)
         if float(np.sum(improved.k)) <= 0.0:
             break
         refined = shares(improved.k)

@@ -261,9 +261,8 @@ def test_zero_compensation_reduces_to_baseline_bitwise(static_uniform):
             jt_hd=rng.normal(size=n), jt_hdelta=np.zeros(n),
             tau_prime=rng.uniform(-0.9, 0.9, n),
             tau_max=rng.uniform(0.5, 2.0, n))
-        plain = capability_scalar(problem, use_delta=False)
-        shifted = capability_scalar(problem, use_delta=True,
-                                    alpha_i=float(rng.normal()))
+        plain = capability_scalar(problem)
+        shifted = capability_scalar(problem, alpha_i=float(rng.normal()))
         assert shifted.k == plain.k and shifted.flag == plain.flag
     both, baseline = static_uniform
     for improved, base in zip(both.samples, baseline.samples):

@@ -66,8 +66,8 @@ def test_lower_bounded_interval_still_maximizes():
     result = capability_scalar(problem)
     assert result.k == pytest.approx(3.0, abs=1e-15)
     assert result.flag is None
-    assert not feasible_wrench_check(problem, None, 0.0)
-    assert feasible_wrench_check(problem, None, 3.0)
+    assert not feasible_wrench_check(problem, 0.0)
+    assert feasible_wrench_check(problem, 3.0)
 
 
 def test_empty_shifted_interval_is_infeasible():
@@ -118,7 +118,7 @@ def test_matches_bisection_oracle_with_delta():
             tau_prime=rng.uniform(-0.45, 0.45, n) * tau_max,
             tau_max=tau_max,
         )
-        result = capability_scalar(problem, use_delta=True, alpha_i=alpha_i)
+        result = capability_scalar(problem, alpha_i=alpha_i)
         if result.flag == FLAG_UNBOUNDED:
             continue
         expected = bisect_capability(problem, use_delta=True, alpha_i=alpha_i)
@@ -162,11 +162,9 @@ def test_reduction_identity_bitwise():
         zeroed = CapabilityProblem(
             jt_hd=problem.jt_hd, jt_hdelta=np.zeros(problem.joint_count),
             tau_prime=problem.tau_prime, tau_max=problem.tau_max)
-        baseline = capability_scalar(problem, use_delta=False)
-        with_zero_delta = capability_scalar(zeroed, use_delta=True,
-                                            alpha_i=0.7)
-        with_zero_alpha = capability_scalar(problem, use_delta=True,
-                                            alpha_i=0.0)
+        baseline = capability_scalar(problem)
+        with_zero_delta = capability_scalar(zeroed, alpha_i=0.7)
+        with_zero_alpha = capability_scalar(problem, alpha_i=0.0)
         assert with_zero_delta.k == baseline.k
         assert with_zero_alpha.k == baseline.k
 
@@ -178,57 +176,37 @@ def test_feasible_wrench_check_brackets_the_optimum():
         result = capability_scalar(problem)
         if result.flag is not None:
             continue
-        assert feasible_wrench_check(problem, None, result.k - 1e-9)
-        assert not feasible_wrench_check(problem, None, result.k + 1e-6)
+        assert feasible_wrench_check(problem, result.k - 1e-9)
+        assert not feasible_wrench_check(problem, result.k + 1e-6)
 
 
 def test_feasible_wrench_check_zero_scale():
     ok = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.5],
                            tau_max=[1.0])
-    assert feasible_wrench_check(ok, None, 0.0)
+    assert feasible_wrench_check(ok, 0.0)
     overloaded = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0],
                                    tau_prime=[1.5], tau_max=[1.0])
-    assert not feasible_wrench_check(overloaded, None, 0.0)
-    assert not feasible_wrench_check(overloaded, None, 0.3)
-
-
-def test_feasible_wrench_check_arbitrary_wrench_through_jacobian():
-    J = np.zeros((6, 2))
-    J[0, 0] = 1.0
-    J[2, 1] = 2.0
-    problem = CapabilityProblem(jt_hd=[1.0, 1.0], jt_hdelta=[0.0, 0.0],
-                                tau_prime=[0.0, 0.0], tau_max=[1.0, 1.0],
-                                jacobian=J)
-    h = np.array([1.0, 0.0, 0.25, 0.0, 0.0, 0.0])
-    assert feasible_wrench_check(problem, h, 1.0)   # torques [1.0, 0.5]
-    assert not feasible_wrench_check(problem, h, 1.5)
-    bare = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
-                             tau_max=[1.0])
-    with pytest.raises(ValueError):
-        feasible_wrench_check(bare, h, 1.0)
+    assert not feasible_wrench_check(overloaded, 0.0)
+    assert not feasible_wrench_check(overloaded, 0.3)
 
 
 def test_group_capability_sums_scalars():
     rng = np.random.default_rng(57)
     problems = [random_problem(rng, n=3) for _ in range(4)]
     weights = AllocationWeights(np.full(4, 0.25), np.full(4, 0.25))
-    sample = group_capability(problems, "baseline", weights)
-    expected = [capability_scalar(p).k for p in problems]
+    sample = group_capability(problems, weights)
+    expected = [capability_scalar(p, alpha_i=0.25).k for p in problems]
     np.testing.assert_array_equal(sample.k, expected)
-    assert sample.K0 == pytest.approx(sum(expected), abs=0.0)
-    assert sample.K1 is None
-
-    improved = group_capability(problems, "improved-fixed-alpha", weights)
-    assert improved.K1 == pytest.approx(float(np.sum(improved.k)), abs=0.0)
-    assert improved.K0 is None
+    assert sample.K1 == pytest.approx(sum(expected), abs=0.0)
+    assert sample.K1 == pytest.approx(float(np.sum(sample.k)), abs=0.0)
+    assert sample.K0 is None
 
 
 def test_group_capability_single_arm_reduction():
     problem = CapabilityProblem(jt_hd=[2.0], jt_hdelta=[0.0],
                                 tau_prime=[0.2], tau_max=[1.0])
-    sample = group_capability([problem], "baseline",
-                              AllocationWeights([1.0]))
-    assert sample.K0 == pytest.approx(0.4, abs=1e-15)
+    sample = group_capability([problem], AllocationWeights([1.0], [1.0]))
+    assert sample.K1 == pytest.approx(0.4, abs=1e-15)
 
 
 def test_group_capability_zero_delta_reduces_to_baseline():
@@ -240,10 +218,10 @@ def test_group_capability_zero_delta_reduces_to_baseline():
         for _ in range(4)
     ]
     weights = AllocationWeights(np.full(4, 0.25), np.full(4, 0.25))
-    baseline = group_capability(problems, "baseline", weights)
-    improved = group_capability(problems, "improved-fixed-alpha", weights)
-    np.testing.assert_array_equal(improved.k, baseline.k)
-    assert improved.K1 == baseline.K0
+    baseline = [capability_scalar(p).k for p in problems]
+    improved = group_capability(problems, weights)
+    np.testing.assert_array_equal(improved.k, baseline)
+    assert improved.K1 == float(np.sum(baseline))
 
 
 def test_group_capability_flags_propagate():
@@ -251,8 +229,8 @@ def test_group_capability_flags_propagate():
                             tau_max=[1.0])
     good = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
                              tau_max=[1.0])
-    sample = group_capability([bad, good], "baseline",
-                              AllocationWeights([0.5, 0.5]))
+    sample = group_capability([bad, good],
+                              AllocationWeights([0.5, 0.5], [0.5, 0.5]))
     assert FLAG_INFEASIBLE in sample.flags
     np.testing.assert_array_equal(sample.k, [0.0, 1.0])
 
@@ -325,7 +303,7 @@ def test_joint_mode_dominates_fixed_alpha():
         beta = rng.uniform(0.1, 1.0, 3)
         beta /= beta.sum()
         weights = AllocationWeights(beta, beta)
-        fixed = group_capability(problems, "improved-fixed-alpha", weights)
+        fixed = group_capability(problems, weights)
         joint = group_capability_joint(problems, beta)
         if FLAG_UNBOUNDED in fixed.flags or FLAG_UNBOUNDED in joint.flags:
             continue
@@ -370,5 +348,18 @@ def test_problem_validation():
     with pytest.raises(ScenarioValidationError):
         CapabilityProblem(jt_hd=[np.nan], jt_hdelta=[0.0], tau_prime=[0.0],
                           tau_max=[1.0])
-    with pytest.raises(ValueError):
-        group_capability([], "unknown-mode", AllocationWeights([1.0]))
+
+
+def test_capability_api_takes_alpha_by_keyword_only():
+    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.5], tau_prime=[0.0],
+                                tau_max=[1.0])
+    with pytest.raises(TypeError):
+        capability_scalar(problem, 0.5)
+    assert capability_scalar(problem, alpha_i=0.5).k == 0.75
+
+
+def test_group_capability_requires_alpha_shares():
+    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
+                                tau_max=[1.0])
+    with pytest.raises(ValueError, match="alpha"):
+        group_capability([problem], AllocationWeights([1.0]))

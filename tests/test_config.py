@@ -375,6 +375,17 @@ def test_grid_size_is_capped():
     assert config.with_overrides(dt=1e-4, cycles=1).step_count == 50000
 
 
+@pytest.mark.parametrize("key, message", [
+    ("cycles", r"dt/cycles give inf time steps"),
+    ("schema_version", r"unsupported schema_version 1000"),
+])
+def test_integer_beyond_float_range_fails_for_its_real_reason(key, message):
+    doc = scenario_dict(reference_scenario())
+    doc[key] = 10 ** 400
+    with pytest.raises(ScenarioValidationError, match=message):
+        reparse(doc)
+
+
 def test_optional_keys_take_the_dataclass_defaults():
     doc = scenario_dict(reference_scenario())
     for key in ("mode", "gravity", "dt", "cycles", "unbounded_cap",

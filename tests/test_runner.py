@@ -8,9 +8,10 @@ import pytest
 
 from coopwrench import (AllocationWeights, ExportError, GraspMap, RunResult,
                         TrajectoryError, TrajectorySpec, Wrench, capability,
-                        evaluate_trajectory, export, object_desired_wrench,
-                        object_wrench_from_ee, reference_scenario, runner,
-                        run_scenario, summarize, time_grid)
+                        evaluate_trajectory, export, grasp,
+                        object_desired_wrench, object_wrench_from_ee,
+                        reference_scenario, runner, run_scenario, summarize,
+                        time_grid)
 from coopwrench.runner import emit_plot_data, result_dict
 
 
@@ -207,6 +208,16 @@ def test_baseline_mode_solves_each_arm_once_per_step(monkeypatch):
 def test_run_scenario_has_no_thread_option():
     with pytest.raises(TypeError):
         run_scenario(reference_scenario(), dt=0.5, cycles=1, threads=2)
+
+
+def test_run_builds_no_grasp_matrices(monkeypatch):
+    def refuse(grasp_vector):
+        raise AssertionError("the runner needs no 6x6 grasp matrix")
+
+    monkeypatch.setattr(grasp, "grasp_matrix", refuse)
+    result = run_scenario(reference_scenario(), mode="both", dt=0.5,
+                          cycles=1)
+    assert len(result.samples) == 11
 
 
 def test_csv_contract(tmp_path, short_both):
