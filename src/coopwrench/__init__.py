@@ -9,8 +9,9 @@ points.
 
 from .capability import (FLAG_INFEASIBLE, FLAG_SINGULAR, FLAG_UNBOUNDED,
                          FLAG_VELOCITY, CapabilityProblem, CapabilitySample,
-                         capability_scalar, feasible_wrench_check,
-                         group_capability, group_capability_joint)
+                         GroupCapability, capability_scalar,
+                         feasible_wrench_check, group_capability,
+                         group_capability_joint)
 from .config import (MODES, SCHEMA_VERSION, ManipulatorModel, ObjectState,
                      RigidObjectModel, ScenarioConfig, ScenarioError,
                      ScenarioSyntaxError, ScenarioValidationError,
@@ -37,7 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationWeights", "CapabilityProblem", "CapabilitySample",
     "ExportError", "FLAG_INFEASIBLE", "FLAG_SINGULAR", "FLAG_UNBOUNDED",
-    "FLAG_VELOCITY", "GraspMap", "JointState", "LinearProgram",
+    "FLAG_VELOCITY", "GraspMap", "GroupCapability", "JointState",
+    "LinearProgram",
     "ManipulatorModel", "MODES", "ObjectState", "Pose", "RigidObjectModel",
     "RunResult", "RunSummary", "ScenarioConfig", "ScenarioError",
     "ScenarioSyntaxError", "ScenarioValidationError", "SCHEMA_VERSION",

@@ -58,7 +58,7 @@ class CapabilitySample:
 
     time: float
     k: np.ndarray
-    K0: float | None
+    K0: float
     K1: float | None
     beta: np.ndarray
     alpha: np.ndarray | None
@@ -117,31 +117,36 @@ def feasible_wrench_check(problem, k):
     return bool(np.all(np.abs(load) <= problem.tau_max))
 
 
-def group_capability(problems, weights, *, time=0.0, t_delta=None,
+class GroupCapability(NamedTuple):
+    """Per-manipulator scales, the compensation shares used, and flags."""
+
+    k: np.ndarray
+    alpha: np.ndarray | None
+    flags: frozenset[str]
+
+    @property
+    def K1(self):
+        return float(np.sum(self.k))
+
+
+def group_capability(problems, alpha, *,
                      unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     """Fixed-alpha group capability K1 from per-manipulator scalar solves.
 
     Each manipulator is offset by its alpha share of the compensating
-    wrench; the summed scalar is K1.
+    wrench; the summed scalar is K1.  alpha needs one share per problem.
     """
-    if weights.alpha is None:
-        raise ValueError("fixed-alpha group capability requires alpha weights")
     k = np.empty(len(problems))
     flags = set()
-    for i, (problem, alpha_i) in enumerate(zip(problems, weights.alpha)):
+    for i, (problem, alpha_i) in enumerate(zip(problems, alpha, strict=True)):
         k[i], flag = capability_scalar(problem, alpha_i=float(alpha_i),
                                        unbounded_cap=unbounded_cap)
         if flag is not None:
             flags.add(flag)
-    if t_delta is None:
-        t_delta = np.zeros(3)
-    return CapabilitySample(
-        time=time, k=k, K0=None, K1=float(np.sum(k)), beta=weights.beta,
-        alpha=weights.alpha, t_delta=t_delta, flags=frozenset(flags))
+    return GroupCapability(k, np.asarray(alpha, dtype=float), frozenset(flags))
 
 
-def group_capability_joint(problems, beta, *, time=0.0, t_delta=None,
-                           unbounded_cap=DEFAULT_UNBOUNDED_CAP):
+def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     """Group capability co-optimizing the compensation split.
 
     Decision variables are every manipulator's scale k_i >= 0 and free
@@ -186,20 +191,13 @@ def group_capability_joint(problems, beta, *, time=0.0, t_delta=None,
         row_upper=np.array(uppers),
         nonnegative=nonneg,
     ))
-    if t_delta is None:
-        t_delta = np.zeros(3)
-    beta = np.asarray(beta, dtype=float)
     if result.status == INFEASIBLE:
-        return CapabilitySample(
-            time=time, k=np.zeros(count), K0=None, K1=0.0, beta=beta,
-            alpha=None, t_delta=t_delta, flags=frozenset({FLAG_INFEASIBLE}))
+        return GroupCapability(np.zeros(count), None,
+                               frozenset({FLAG_INFEASIBLE}))
     if result.status != OPTIMAL:
         raise RuntimeError("joint capability program unexpectedly unbounded")
     k = result.x[:count].copy()
-    alpha = result.x[count:].copy()
     flags = set()
     if np.any(k >= unbounded_cap * (1.0 - 1e-9)):
         flags.add(FLAG_UNBOUNDED)
-    return CapabilitySample(
-        time=time, k=k, K0=None, K1=float(np.sum(k)), beta=beta, alpha=alpha,
-        t_delta=t_delta, flags=frozenset(flags))
+    return GroupCapability(k, result.x[count:].copy(), frozenset(flags))

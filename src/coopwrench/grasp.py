@@ -80,10 +80,9 @@ def object_wrench_from_ee(grasp_map, wrenches):
 
 @dataclass(frozen=True, eq=False)
 class AllocationWeights:
-    """Load shares: beta splits the desired wrench, alpha the compensation."""
+    """Load shares: beta splits the desired wrench among manipulators."""
 
     beta: np.ndarray
-    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
@@ -93,14 +92,6 @@ class AllocationWeights:
             raise ScenarioValidationError("beta must sum to 1")
         beta.flags.writeable = False
         _set(self, "beta", beta)
-        if self.alpha is not None:
-            alpha = np.array(self.alpha, dtype=float)
-            if alpha.shape != beta.shape or not np.all(np.isfinite(alpha)):
-                raise ScenarioValidationError("alpha must match beta's length")
-            if abs(float(np.sum(alpha)) - 1.0) > 1e-12:
-                raise ScenarioValidationError("alpha must sum to 1")
-            alpha.flags.writeable = False
-            _set(self, "alpha", alpha)
 
 
 def allocate_proportional(capabilities):

@@ -175,23 +175,22 @@ def _step_sample(config, state, t, joints):
                                 alpha=None, t_delta=t_delta, flags=step_flags)
 
     for _ in range(config.beta_iterations + 1):
-        weights = AllocationWeights(beta, beta)
+        weights = AllocationWeights(beta)
         t_delta, h_delta = counterbalance_moment(weights, grasp_map, h_d.force)
         problems = build_problems(h_delta.as_vector())
         if config.mode == "improved-joint":
-            improved = group_capability_joint(
-                problems, beta, time=t, t_delta=t_delta, unbounded_cap=cap)
+            improved = group_capability_joint(problems, unbounded_cap=cap)
         else:
-            improved = group_capability(
-                problems, weights, time=t, t_delta=t_delta, unbounded_cap=cap)
-        if float(np.sum(improved.k)) <= 0.0:
+            improved = group_capability(problems, beta, unbounded_cap=cap)
+        if improved.K1 <= 0.0:
             break
         refined = shares(improved.k)
         if float(np.max(np.abs(refined - beta))) <= _BETA_TOL:
             break
         beta = refined
+    # weights still holds the shares the last pass used, not the refined ones
     return CapabilitySample(
-        time=t, k=improved.k, K0=K0, K1=improved.K1, beta=improved.beta,
+        time=t, k=improved.k, K0=K0, K1=improved.K1, beta=weights.beta,
         alpha=improved.alpha, t_delta=t_delta,
         flags=step_flags | improved.flags)
 
@@ -227,16 +226,14 @@ def summarize(samples):
     flagged = sum(1 for s in samples if s.flags)
     if not samples:
         return RunSummary(sample_count=0, flagged_steps=0)
-    k0 = [s.K0 for s in samples if s.K0 is not None]
+    k0 = [s.K0 for s in samples]
     k1 = [s.K1 for s in samples if s.K1 is not None]
-    fields = {}
-    if k0:
-        fields.update(k0_min=min(k0), k0_mean=sum(k0) / len(k0),
-                      k0_max=max(k0))
+    fields = {"k0_min": min(k0), "k0_mean": sum(k0) / len(k0),
+              "k0_max": max(k0)}
     if k1:
         fields.update(k1_min=min(k1), k1_mean=sum(k1) / len(k1),
                       k1_max=max(k1))
-    if k0 and k1 and fields["k0_mean"] != 0.0:
+    if k1 and fields["k0_mean"] != 0.0:
         fields["improvement_percent"] = 100.0 * (
             fields["k1_mean"] - fields["k0_mean"]) / fields["k0_mean"]
     return RunSummary(sample_count=len(samples), flagged_steps=flagged,
@@ -285,7 +282,7 @@ def _csv_header(count):
 def _sample_row(sample, count):
     row = [_fmt(sample.time)]
     row += [_fmt(v) for v in sample.k]
-    row.append("" if sample.K0 is None else _fmt(sample.K0))
+    row.append(_fmt(sample.K0))
     row.append("" if sample.K1 is None else _fmt(sample.K1))
     row += [_fmt(v) for v in sample.beta]
     if sample.alpha is None:
@@ -346,9 +343,8 @@ def emit_plot_data(result, path):
     """
     lines = ["# capability vs time", "# t K0 K1"]
     for s in result.samples:
-        k0 = "nan" if s.K0 is None else _fmt(s.K0)
         k1 = "nan" if s.K1 is None else _fmt(s.K1)
-        lines.append(f"{_fmt(s.time)} {k0} {k1}")
+        lines.append(f"{_fmt(s.time)} {_fmt(s.K0)} {k1}")
     lines.append("")
     lines.append("# reference line K = 1")
     if result.samples:

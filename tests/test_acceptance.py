@@ -158,7 +158,7 @@ def test_closed_loop_balance_identity():
         beta /= beta.sum()
         alpha = rng.normal(size=count)
         alpha += (1.0 - alpha.sum()) / count
-        weights = AllocationWeights(beta, alpha)
+        weights = AllocationWeights(beta)
         _, h_delta = counterbalance_moment(weights, grasp_map, h_d.force)
         parts = [Wrench.from_vector(b * h_d.as_vector()
                                     + a * h_delta.as_vector())

@@ -4,10 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from coopwrench import (AllocationWeights, CapabilityProblem,
-                        ScenarioValidationError, capability_scalar,
-                        feasible_wrench_check, group_capability,
-                        group_capability_joint)
+from coopwrench import (CapabilityProblem, ScenarioValidationError,
+                        capability_scalar, feasible_wrench_check,
+                        group_capability, group_capability_joint)
 from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
                                    DEFAULT_UNBOUNDED_CAP)
 from oracles import bisect_capability
@@ -193,19 +192,17 @@ def test_feasible_wrench_check_zero_scale():
 def test_group_capability_sums_scalars():
     rng = np.random.default_rng(57)
     problems = [random_problem(rng, n=3) for _ in range(4)]
-    weights = AllocationWeights(np.full(4, 0.25), np.full(4, 0.25))
-    sample = group_capability(problems, weights)
+    sample = group_capability(problems, np.full(4, 0.25))
     expected = [capability_scalar(p, alpha_i=0.25).k for p in problems]
     np.testing.assert_array_equal(sample.k, expected)
     assert sample.K1 == pytest.approx(sum(expected), abs=0.0)
     assert sample.K1 == pytest.approx(float(np.sum(sample.k)), abs=0.0)
-    assert sample.K0 is None
 
 
 def test_group_capability_single_arm_reduction():
     problem = CapabilityProblem(jt_hd=[2.0], jt_hdelta=[0.0],
                                 tau_prime=[0.2], tau_max=[1.0])
-    sample = group_capability([problem], AllocationWeights([1.0], [1.0]))
+    sample = group_capability([problem], np.array([1.0]))
     assert sample.K1 == pytest.approx(0.4, abs=1e-15)
 
 
@@ -217,9 +214,8 @@ def test_group_capability_zero_delta_reduces_to_baseline():
                           tau_max=np.ones(3))
         for _ in range(4)
     ]
-    weights = AllocationWeights(np.full(4, 0.25), np.full(4, 0.25))
     baseline = [capability_scalar(p).k for p in problems]
-    improved = group_capability(problems, weights)
+    improved = group_capability(problems, np.full(4, 0.25))
     np.testing.assert_array_equal(improved.k, baseline)
     assert improved.K1 == float(np.sum(baseline))
 
@@ -229,8 +225,7 @@ def test_group_capability_flags_propagate():
                             tau_max=[1.0])
     good = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
                              tau_max=[1.0])
-    sample = group_capability([bad, good],
-                              AllocationWeights([0.5, 0.5], [0.5, 0.5]))
+    sample = group_capability([bad, good], np.array([0.5, 0.5]))
     assert FLAG_INFEASIBLE in sample.flags
     np.testing.assert_array_equal(sample.k, [0.0, 1.0])
 
@@ -277,7 +272,7 @@ def test_joint_mode_matches_grid_search():
     expected, valid = grid_search_joint(problems, alphas)
     # feasible split range sits strictly inside the scanned window
     assert not valid[0] and not valid[-1]
-    sample = group_capability_joint(problems, beta=[0.5, 0.5])
+    sample = group_capability_joint(problems)
     assert sample.K1 == pytest.approx(expected, abs=1e-3)
     assert abs(np.sum(sample.alpha) - 1.0) <= 1e-9
 
@@ -291,7 +286,7 @@ def test_joint_mode_zero_delta_equals_baseline_sum():
         for _ in range(3)
     ]
     k0 = sum(capability_scalar(p).k for p in problems)
-    sample = group_capability_joint(problems, beta=np.full(3, 1.0 / 3.0))
+    sample = group_capability_joint(problems)
     assert sample.K1 == pytest.approx(k0, abs=1e-9)
 
 
@@ -302,9 +297,8 @@ def test_joint_mode_dominates_fixed_alpha():
                     for _ in range(3)]
         beta = rng.uniform(0.1, 1.0, 3)
         beta /= beta.sum()
-        weights = AllocationWeights(beta, beta)
-        fixed = group_capability(problems, weights)
-        joint = group_capability_joint(problems, beta)
+        fixed = group_capability(problems, beta)
+        joint = group_capability_joint(problems)
         if FLAG_UNBOUNDED in fixed.flags or FLAG_UNBOUNDED in joint.flags:
             continue
         assert joint.K1 >= fixed.K1 - 1e-9
@@ -317,8 +311,7 @@ def test_joint_mode_caps_unbounded_scales():
         CapabilityProblem(jt_hd=[1.0, 0.5], jt_hdelta=[0.2, 0.1],
                           tau_prime=[0.0, 0.0], tau_max=[1.0, 1.0]),
     ]
-    sample = group_capability_joint(problems, beta=[0.5, 0.5],
-                                    unbounded_cap=100.0)
+    sample = group_capability_joint(problems, unbounded_cap=100.0)
     assert FLAG_UNBOUNDED in sample.flags
     assert sample.k[0] == pytest.approx(100.0, rel=1e-9)
 
@@ -332,7 +325,7 @@ def test_joint_mode_infeasible_split():
         CapabilityProblem(jt_hd=[1.0], jt_hdelta=[-1.0], tau_prime=[0.0],
                           tau_max=[1.0]),
     ]
-    sample = group_capability_joint(problems, beta=[0.5, 0.5])
+    sample = group_capability_joint(problems)
     assert FLAG_INFEASIBLE in sample.flags
     assert sample.K1 == 0.0
     np.testing.assert_array_equal(sample.k, np.zeros(2))
@@ -358,8 +351,24 @@ def test_capability_api_takes_alpha_by_keyword_only():
     assert capability_scalar(problem, alpha_i=0.5).k == 0.75
 
 
-def test_group_capability_requires_alpha_shares():
+def test_group_capability_rejects_wrong_share_count():
+    rng = np.random.default_rng(61)
+    problems = [random_problem(rng, n=3) for _ in range(4)]
+    with pytest.raises(ValueError):
+        group_capability(problems, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        group_capability(problems[:1], [0.5, 0.5])
+
+
+def test_group_solves_take_no_pass_through_arguments():
     problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
                                 tau_max=[1.0])
-    with pytest.raises(ValueError, match="alpha"):
-        group_capability([problem], AllocationWeights([1.0]))
+    for extra in ({"time": 0.0}, {"t_delta": np.zeros(3)}):
+        with pytest.raises(TypeError):
+            group_capability([problem], [1.0], **extra)
+        with pytest.raises(TypeError):
+            group_capability_joint([problem], **extra)
+    with pytest.raises(TypeError):
+        group_capability_joint([problem], beta=[1.0])
+    with pytest.raises(TypeError):
+        group_capability_joint([problem], [1.0])

@@ -104,12 +104,9 @@ def test_allocate_proportional_rejects_zero_and_negative():
 def test_allocation_weights_validation():
     with pytest.raises(ScenarioValidationError, match="sum to 1"):
         AllocationWeights([0.5, 0.4])
-    with pytest.raises(ScenarioValidationError, match="alpha"):
-        AllocationWeights([0.5, 0.5], [1.0])
-    with pytest.raises(ScenarioValidationError, match="sum to 1"):
-        AllocationWeights([0.5, 0.5], [0.8, 0.1])
     w = AllocationWeights([0.25, 0.75])
-    assert w.alpha is None
+    np.testing.assert_array_equal(w.beta, [0.25, 0.75])
+    assert not w.beta.flags.writeable
 
 
 def test_counterbalance_symmetric_equal_shares_is_zero():
