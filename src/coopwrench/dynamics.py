@@ -2,16 +2,19 @@
 
 Joint torques come from a recursive Newton-Euler sweep specialized to
 fixed-base serial chains whose joints all rotate about the axis normal to
-the X-Z motion plane.  Gravity acts along world -Z and is injected through
-the standard base-acceleration trick, so no separate gravity pass is needed.
+the X-Z motion plane, so it runs on in-plane vectors and scalar moments.
+Gravity acts along world -Z and is injected through the standard
+base-acceleration trick, so no separate gravity pass is needed.
 Torque vectors are plain float arrays ordered by joint.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import Wrench
-from .kinematics import JOINT_AXIS, JointState, cross3, planar_rotation
+from .kinematics import JointState, cross3
 
 
 def inverse_dynamics(model, state, gravity):
@@ -21,53 +24,42 @@ def inverse_dynamics(model, state, gravity):
     links only; any wrench applied at the end effector is accounted for
     separately through the Jacobian transpose by the capability layer.
     """
-    q, qdot, qddot = state.q, state.qdot, state.qddot
-    n = model.joint_count
-    axis = JOINT_AXIS
+    # Forward sweep in the world X-Z plane.  Angles, rates and moments are
+    # about the joint axis, positive from +X toward +Z, so a link's angle,
+    # rate and angular acceleration are sums over the joints inboard of it.
+    angle = rate = rate_dot = 0.0
+    accel_x, accel_z = 0.0, gravity  # base acceleration trick
+    links = []
+    for q, qdot, qddot, length, com, mass, inertia in zip(
+            state.q.tolist(), state.qdot.tolist(), state.qddot.tolist(),
+            model.link_lengths.tolist(), model.link_com_offsets.tolist(),
+            model.link_masses.tolist(), model.link_inertias.tolist(),
+            strict=True):
+        angle += q
+        rate += qdot
+        rate_dot += qddot
+        c, s = math.cos(angle), math.sin(angle)
+        # acceleration per unit distance along the link, relative to its
+        # joint: tangential plus centripetal
+        per_x = -rate_dot * s - rate * rate * c
+        per_z = rate_dot * c - rate * rate * s
+        links.append((length * c, length * s, com * c, com * s,
+                      mass * (accel_x + com * per_x),
+                      mass * (accel_z + com * per_z), inertia * rate_dot))
+        accel_x += length * per_x
+        accel_z += length * per_z
 
-    # Per-link quantities in the link's own frame (x along the link).
-    rotations = [planar_rotation(q[i]) for i in range(n)]
-    link_offsets = [np.array([length, 0.0, 0.0]) for length in model.link_lengths]
-    com_offsets = [np.array([offset, 0.0, 0.0]) for offset in model.link_com_offsets]
-    omega = np.zeros(3)
-    omega_dot = np.zeros(3)
-    accel = np.array([0.0, 0.0, gravity])  # base acceleration trick
-    com_force = np.empty((n, 3))
-    com_torque = np.empty((n, 3))
-    for i in range(n):
-        Rt = rotations[i].T
-        if i > 0:
-            offset = link_offsets[i - 1]
-            accel = accel + cross3(omega_dot, offset) \
-                + cross3(omega, cross3(omega, offset))
-        accel = Rt @ accel
-        omega_prev = Rt @ omega
-        omega = omega_prev + qdot[i] * axis
-        omega_dot = Rt @ omega_dot + cross3(omega_prev, qdot[i] * axis) \
-            + qddot[i] * axis
-        com = com_offsets[i]
-        com_accel = accel + cross3(omega_dot, com) \
-            + cross3(omega, cross3(omega, com))
-        com_force[i] = model.link_masses[i] * com_accel
-        spin = model.link_inertias[i] * omega
-        com_torque[i] = model.link_inertias[i] * omega_dot \
-            + cross3(omega, spin)
-
-    torques = np.empty(n)
-    child_force = np.zeros(3)
-    child_torque = np.zeros(3)
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            R_child = rotations[i + 1]
-            child_force = R_child @ child_force
-            child_torque = R_child @ child_torque
-            child_torque = child_torque + cross3(link_offsets[i], child_force)
-        total_force = child_force + com_force[i]
-        total_torque = child_torque + com_torque[i] \
-            + cross3(com_offsets[i], com_force[i])
-        torques[i] = total_torque @ axis
-        child_force = total_force
-        child_torque = total_torque
+    # Backward sweep: the outboard force acts at the link tip, the link's
+    # own inertial force at its CoM.
+    torques = np.empty(len(links))
+    force_x = force_z = moment = 0.0
+    for i in range(len(links) - 1, -1, -1):
+        tip_x, tip_z, com_x, com_z, inertial_x, inertial_z, spin = links[i]
+        moment += spin + tip_x * force_z - tip_z * force_x \
+            + com_x * inertial_z - com_z * inertial_x
+        force_x += inertial_x
+        force_z += inertial_z
+        torques[i] = moment
     return torques
 
 

@@ -61,6 +61,62 @@ def closed_form_2r(model, q, qdot, qddot, gravity):
     return M @ qddot + C @ qdot + np.array([g1, g2])
 
 
+def spatial_rne(model, q, qdot, qddot, gravity):
+    """Recursive Newton-Euler in 3-D link frames.
+
+    Every link carries full angular and linear vectors in its own frame,
+    rotated from its parent's about the joint axis -Y (positive angles turn
+    +X toward +Z); gravity enters as an upward base acceleration.  Returns
+    the moment about the joint axis at each joint.
+    """
+    axis = np.array([0.0, -1.0, 0.0])
+    n = len(q)
+    rotations = [rodrigues(axis, angle) for angle in q]
+    link_offsets = [np.array([length, 0.0, 0.0])
+                    for length in model.link_lengths]
+    com_offsets = [np.array([offset, 0.0, 0.0])
+                   for offset in model.link_com_offsets]
+    omega = np.zeros(3)
+    omega_dot = np.zeros(3)
+    accel = np.array([0.0, 0.0, gravity])
+    com_force = np.empty((n, 3))
+    com_torque = np.empty((n, 3))
+    for i in range(n):
+        Rt = rotations[i].T
+        if i > 0:
+            offset = link_offsets[i - 1]
+            accel = accel + np.cross(omega_dot, offset) \
+                + np.cross(omega, np.cross(omega, offset))
+        accel = Rt @ accel
+        omega_prev = Rt @ omega
+        omega = omega_prev + qdot[i] * axis
+        omega_dot = Rt @ omega_dot + np.cross(omega_prev, qdot[i] * axis) \
+            + qddot[i] * axis
+        com = com_offsets[i]
+        com_accel = accel + np.cross(omega_dot, com) \
+            + np.cross(omega, np.cross(omega, com))
+        com_force[i] = model.link_masses[i] * com_accel
+        spin = model.link_inertias[i] * omega
+        com_torque[i] = model.link_inertias[i] * omega_dot \
+            + np.cross(omega, spin)
+
+    torques = np.empty(n)
+    child_force = np.zeros(3)
+    child_torque = np.zeros(3)
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            child_force = rotations[i + 1] @ child_force
+            child_torque = rotations[i + 1] @ child_torque \
+                + np.cross(link_offsets[i], child_force)
+        total_force = child_force + com_force[i]
+        total_torque = child_torque + com_torque[i] \
+            + np.cross(com_offsets[i], com_force[i])
+        torques[i] = total_torque @ axis
+        child_force = total_force
+        child_torque = total_torque
+    return torques
+
+
 def inequality_rows(lp):
     """Rewrite a two-sided-row program as pure inequalities D x <= d."""
     rows, rhs = [], []

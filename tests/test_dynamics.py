@@ -3,7 +3,8 @@
 The oracle writes the two-link equations of motion out longhand (inertia
 matrix, Christoffel Coriolis terms, gravity loads) with the link angle
 measured counterclockwise from +X toward +Z, gravity along -Z; it shares
-nothing with the recursive sweep under test.
+nothing with the recursive sweep under test.  Longer chains are checked
+against a spatial Newton-Euler sweep in 3-D link frames.
 """
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import pytest
 from coopwrench import (JointState, ManipulatorModel, ObjectState,
                         RigidObjectModel, Wrench, cuboid_inertia,
                         gravity_vector, inverse_dynamics, mass_matrix,
-                        object_desired_wrench)
-from oracles import closed_form_2r
+                        object_desired_wrench, reference_scenario)
+from oracles import closed_form_2r, spatial_rne
 
 G = 9.8067
 
@@ -140,6 +141,21 @@ def test_three_link_rne_consistent_with_its_own_split():
             + inverse_dynamics(arm, JointState(q, qdot), 0.0) \
             + gravity_vector(arm, q, G)
         np.testing.assert_allclose(tau, rebuilt, atol=1e-9)
+
+
+def test_planar_rne_matches_spatial_sweep_on_reference_arm():
+    arm = reference_scenario().manipulators[0]
+    rng = np.random.default_rng(27)
+    worst = 0.0
+    for _ in range(200):
+        q = rng.uniform(-np.pi, np.pi, 3)
+        qdot = rng.uniform(-3.0, 3.0, 3)
+        qddot = rng.uniform(-5.0, 5.0, 3)
+        tau = inverse_dynamics(arm, JointState(q, qdot, qddot), G)
+        expected = spatial_rne(arm, q, qdot, qddot, G)
+        np.testing.assert_allclose(tau, expected, rtol=1e-12, atol=1e-12)
+        worst = max(worst, float(np.max(np.abs(tau - expected))))
+    print(f"PASS planar vs spatial RNE: max deviation {worst:.2e}")
 
 
 def hover_state(position=(0.35, 0.0, 0.35)):
