@@ -136,14 +136,13 @@ def group_capability(problems, alpha, *,
     Each manipulator is offset by its alpha share of the compensating
     wrench; the summed scalar is K1.  alpha needs one share per problem.
     """
-    k = np.empty(len(problems))
-    flags = set()
-    for i, (problem, alpha_i) in enumerate(zip(problems, alpha, strict=True)):
-        k[i], flag = capability_scalar(problem, alpha_i=float(alpha_i),
-                                       unbounded_cap=unbounded_cap)
-        if flag is not None:
-            flags.add(flag)
-    return GroupCapability(k, np.asarray(alpha, dtype=float), frozenset(flags))
+    solves = [capability_scalar(problem, alpha_i=float(alpha_i),
+                                unbounded_cap=unbounded_cap)
+              for problem, alpha_i in zip(problems, alpha, strict=True)]
+    return GroupCapability(
+        np.array([solve.k for solve in solves], dtype=float),
+        np.asarray(alpha, dtype=float),
+        frozenset(solve.flag for solve in solves if solve.flag is not None))
 
 
 def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
@@ -197,7 +196,6 @@ def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     if result.status != OPTIMAL:
         raise RuntimeError("joint capability program unexpectedly unbounded")
     k = result.x[:count].copy()
-    flags = set()
-    if np.any(k >= unbounded_cap * (1.0 - 1e-9)):
-        flags.add(FLAG_UNBOUNDED)
-    return GroupCapability(k, result.x[count:].copy(), frozenset(flags))
+    capped = np.any(k >= unbounded_cap * (1.0 - 1e-9))
+    return GroupCapability(k, result.x[count:].copy(),
+                           frozenset({FLAG_UNBOUNDED} if capped else ()))

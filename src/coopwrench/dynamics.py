@@ -10,6 +10,7 @@ Torque vectors are plain float arrays ordered by joint.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,17 +28,13 @@ def inverse_dynamics(model, state, gravity):
     # Forward sweep in the world X-Z plane.  Angles, rates and moments are
     # about the joint axis, positive from +X toward +Z, so a link's angle,
     # rate and angular acceleration are sums over the joints inboard of it.
-    angle = rate = rate_dot = 0.0
     accel_x, accel_z = 0.0, gravity  # base acceleration trick
     links = []
-    for q, qdot, qddot, length, com, mass, inertia in zip(
-            state.q.tolist(), state.qdot.tolist(), state.qddot.tolist(),
-            model.link_lengths.tolist(), model.link_com_offsets.tolist(),
-            model.link_masses.tolist(), model.link_inertias.tolist(),
-            strict=True):
-        angle += q
-        rate += qdot
-        rate_dot += qddot
+    for angle, rate, rate_dot, length, com, mass, inertia in zip(
+            accumulate(state.q.tolist()), accumulate(state.qdot.tolist()),
+            accumulate(state.qddot.tolist()), model.link_lengths.tolist(),
+            model.link_com_offsets.tolist(), model.link_masses.tolist(),
+            model.link_inertias.tolist(), strict=True):
         c, s = math.cos(angle), math.sin(angle)
         # acceleration per unit distance along the link, relative to its
         # joint: tangential plus centripetal
@@ -66,15 +63,10 @@ def inverse_dynamics(model, state, gravity):
 def mass_matrix(model, q):
     """Joint-space inertia matrix, assembled column by column."""
     q = np.asarray(q, dtype=float)
-    n = q.size
-    M = np.empty((n, n))
-    zero = np.zeros(n)
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        M[:, j] = inverse_dynamics(
-            model, JointState(q, zero, unit), gravity=0.0)
-    return M
+    zero = np.zeros(q.size)
+    return np.column_stack([
+        inverse_dynamics(model, JointState(q, zero, unit), gravity=0.0)
+        for unit in np.eye(q.size)])
 
 
 def gravity_vector(model, q, gravity):
