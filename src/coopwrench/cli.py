@@ -47,7 +47,8 @@ def _build_parser():
 
 
 def _load_config(path):
-    with open(path) as handle:
+    # bytes, so PyYAML does the decoding and a bad encoding is a YAML error
+    with open(path, "rb") as handle:
         return parse_scenario(handle.read())
 
 

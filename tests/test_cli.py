@@ -63,6 +63,18 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [b"mode: caf\xe9", b"\x80\x81"])
+def test_undecodable_scenario_exits_validation(tmp_path, capsys, payload):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(payload)
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("invalid scenario syntax") == 2
+    assert "Traceback" not in err
+
+
 def test_run_writes_all_outputs(tmp_path, capsys):
     path = write_scenario(tmp_path)
     out = tmp_path / "results"
