@@ -24,8 +24,7 @@ from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
                     allocate_proportional, counterbalance_moment,
                     grasp_matrix, object_wrench_from_ee, skew)
 from .kinematics import (JointState, Pose, differential_ik,
-                         ee_accel_from_object, ee_pose_from_object,
-                         ee_twist_from_object, forward_kinematics, ik_planar3r,
+                         ee_pose_from_object, forward_kinematics, ik_planar3r,
                          jacobian, joint_positions, planar_angle,
                          planar_rotation)
 from .runner import (ExportError, RunResult, RunSummary, TrajectoryError,
@@ -46,8 +45,8 @@ __all__ = [
     "SimplexResult", "TrajectoryError", "TrajectorySpec", "Wrench",
     "ZeroCapabilityError", "allocate_proportional", "asymmetric_scenario",
     "capability_scalar", "counterbalance_moment", "cuboid_inertia",
-    "differential_ik", "ee_accel_from_object", "ee_pose_from_object",
-    "ee_twist_from_object", "emit_plot_data", "evaluate_trajectory",
+    "differential_ik", "ee_pose_from_object", "emit_plot_data",
+    "evaluate_trajectory",
     "export", "feasible_wrench_check", "forward_kinematics",
     "gravity_vector", "grasp_matrix", "group_capability",
     "group_capability_joint", "ik_planar3r", "inverse_dynamics", "jacobian",

@@ -95,29 +95,17 @@ class Wrench:
 
 @dataclass(frozen=True, eq=False)
 class ObjectState:
-    """Pose and its first two derivatives for the carried object."""
+    """CoM position and its first two derivatives; the object never rotates."""
 
     position: np.ndarray
-    orientation: np.ndarray
     linear_velocity: np.ndarray
-    angular_velocity: np.ndarray
     linear_accel: np.ndarray
-    angular_accel: np.ndarray
 
     def __post_init__(self):
         _set(self, "position", _freeze(self.position, (3,), "position"))
-        _set(self, "orientation", _freeze(self.orientation, (3, 3), "orientation"))
         _set(self, "linear_velocity",
              _freeze(self.linear_velocity, (3,), "linear velocity"))
-        _set(self, "angular_velocity",
-             _freeze(self.angular_velocity, (3,), "angular velocity"))
         _set(self, "linear_accel", _freeze(self.linear_accel, (3,), "linear accel"))
-        _set(self, "angular_accel", _freeze(self.angular_accel, (3,), "angular accel"))
-        R = self.orientation
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
-            raise ScenarioValidationError("orientation must be orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-12:
-            raise ScenarioValidationError("orientation must be right-handed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +161,9 @@ class RigidObjectModel:
     """The carried rigid body and where each manipulator grasps it.
 
     ``grasp_points`` are expressed in the object body frame, relative to the
-    center of mass.  ``dimensions`` is documentation only; the inertia tensor
-    is what the dynamics consume.
+    center of mass.  ``inertia`` and ``dimensions`` are validated and
+    recorded, but the object only translates, so its dynamics use the mass
+    alone.
     """
 
     mass: float
@@ -215,7 +204,7 @@ def cuboid_inertia(mass, dimensions):
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySpec:
-    """Reference motion for the object; orientation is held at identity.
+    """Reference motion for the object, which translates without rotating.
 
     ``circle`` traces center + radius * [cos(rate * t), 0, sin(rate * t)] in
     the X-Z plane.  ``static-hold`` keeps the object fixed at the center.

@@ -15,7 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import Wrench
-from .kinematics import JointState, cross3
+from .kinematics import JointState
 
 
 def inverse_dynamics(model, state, gravity):
@@ -80,13 +80,9 @@ def object_desired_wrench(obj, state, gravity):
     """Net wrench the grasp group must apply to realize an object motion.
 
     Force balances inertia plus weight (hovering therefore needs a purely
-    upward force); torque follows the world-frame rotational dynamics with
-    the inertia tensor rotated into the current orientation.
+    upward force).  The object translates without rotating, so the torque
+    about its CoM is zero and its inertia tensor never enters.
     """
     force = obj.mass * state.linear_accel \
         + np.array([0.0, 0.0, obj.mass * gravity])
-    inertia_world = state.orientation @ obj.inertia @ state.orientation.T
-    momentum = inertia_world @ state.angular_velocity
-    torque = inertia_world @ state.angular_accel \
-        + cross3(state.angular_velocity, momentum)
-    return Wrench(force, torque)
+    return Wrench(force, np.zeros(3))

@@ -40,19 +40,19 @@ def grasp_matrix(grasp_vector):
 
 @dataclass(frozen=True, eq=False)
 class GraspMap:
-    """World-frame grasp geometry for one object state.
+    """World-frame grasp geometry of the carried object.
 
-    ``grasp_vectors`` are the CoM-to-grasp-point offsets rotated into the
-    world; ``grasp_matrix`` maps each one to its transmission matrix.
+    ``grasp_vectors`` are the CoM-to-grasp-point offsets in the world; the
+    object does not rotate, so they equal its body-frame grasp points.
+    ``grasp_matrix`` maps each one to its transmission matrix.
     """
 
     grasp_vectors: np.ndarray
 
     @classmethod
-    def from_object(cls, obj, orientation):
-        """Build the map for an object model at a given orientation."""
-        vectors = np.asarray(orientation, dtype=float) @ obj.grasp_points.T
-        return cls.from_vectors(vectors.T)
+    def from_object(cls, obj):
+        """Build the map for an object model's grasp points."""
+        return cls.from_vectors(obj.grasp_points)
 
     @classmethod
     def from_vectors(cls, grasp_vectors):

@@ -5,7 +5,8 @@ reachable y-coordinates).  The planar link angle is measured counterclockwise
 from +X toward +Z as conventionally drawn with X right and Z up.  In
 right-handed 3-D terms a positive joint rate therefore spins the links about
 the -Y axis, so the angular rows of the geometric Jacobian carry -1 in the
-y slot; all cross products and wrench couplings stay honestly 3-D.
+y slot.  The carried object translates without rotating, so each end
+effector holds its grasp point at identity orientation.
 """
 from __future__ import annotations
 
@@ -60,13 +61,6 @@ class Pose:
         R = self.orientation
         if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
             raise ScenarioValidationError("pose orientation must be orthonormal")
-
-
-def cross3(a, b):
-    """Cross product of two 3-vectors (faster than np.cross for singles)."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
 
 
 def planar_rotation(angle):
@@ -215,23 +209,6 @@ def differential_ik(model, state, ee_twist, ee_accel):
 
 
 def ee_pose_from_object(state, grasp_point):
-    """Pose a rigidly grasping end effector must hold for an object state."""
-    grasp_point = np.asarray(grasp_point, dtype=float)
-    R = state.orientation
-    return Pose(state.position + R @ grasp_point, R)
-
-
-def ee_twist_from_object(state, grasp_point):
-    """Spatial velocity (6-vector) of the grasp point on a rigid object."""
-    r = state.orientation @ np.asarray(grasp_point, dtype=float)
-    linear = state.linear_velocity + cross3(state.angular_velocity, r)
-    return np.concatenate([linear, state.angular_velocity])
-
-
-def ee_accel_from_object(state, grasp_point):
-    """Spatial acceleration (6-vector) of the grasp point on a rigid object."""
-    r = state.orientation @ np.asarray(grasp_point, dtype=float)
-    w = state.angular_velocity
-    linear = state.linear_accel + cross3(state.angular_accel, r) \
-        + cross3(w, cross3(w, r))
-    return np.concatenate([linear, state.angular_accel])
+    """Pose holding the non-rotating object at a body-frame grasp point."""
+    return Pose(state.position + np.asarray(grasp_point, dtype=float),
+                np.eye(3))

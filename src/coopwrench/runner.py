@@ -24,8 +24,7 @@ from .config import ObjectState, scenario_dict
 from .dynamics import inverse_dynamics, object_desired_wrench
 from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
                     allocate_proportional, counterbalance_moment)
-from .kinematics import (JointState, differential_ik, ee_accel_from_object,
-                         ee_pose_from_object, ee_twist_from_object,
+from .kinematics import (JointState, differential_ik, ee_pose_from_object,
                          ik_planar3r, jacobian, joint_positions)
 
 _BETA_TOL = 1e-6
@@ -50,26 +49,18 @@ class ExportError(RuntimeError):
 
 
 def evaluate_trajectory(spec, t):
-    """Object state (pose and derivatives) at time t.
-
-    The orientation is held at identity with zero angular rates for both
-    supported trajectory kinds.
-    """
-    eye = np.eye(3)
-    zero = np.zeros(3)
+    """Object state at time t; neither trajectory kind rotates the object."""
     if spec.kind == "static-hold":
-        return ObjectState(spec.center, eye, zero, zero, zero, zero)
+        zero = np.zeros(3)
+        return ObjectState(spec.center, zero, zero)
     w = spec.angular_rate
     angle = w * t
     radial = np.array([math.cos(angle), 0.0, math.sin(angle)])
     tangent = np.array([-math.sin(angle), 0.0, math.cos(angle)])
     return ObjectState(
         position=spec.center + spec.radius * radial,
-        orientation=eye,
         linear_velocity=spec.radius * w * tangent,
-        angular_velocity=zero,
         linear_accel=-spec.radius * w * w * radial,
-        angular_accel=zero,
     )
 
 
@@ -118,7 +109,7 @@ def _solve_ik_paths(config, states):
     return paths
 
 
-def _step_sample(config, state, t, joints):
+def _step_sample(config, grasp_map, state, t, joints):
     """Run the capability pipeline for one time step.
 
     ``joints`` holds each manipulator's joint positions at ``state``.
@@ -126,13 +117,14 @@ def _step_sample(config, state, t, joints):
     h_d = object_desired_wrench(config.object, state, config.gravity)
     h_d6 = h_d.as_vector()
     step_flags = set()
+    # every point of a translating body moves alike: one twist for all arms
+    zero = np.zeros(3)
+    ee_twist = np.concatenate([state.linear_velocity, zero])
+    ee_accel = np.concatenate([state.linear_accel, zero])
 
     arms = []  # (Jacobian, self-load torques, torque limits) per manipulator
-    for model, grasp_point, q in zip(config.manipulators,
-                                     config.object.grasp_points, joints):
-        motion = differential_ik(
-            model, q, ee_twist_from_object(state, grasp_point),
-            ee_accel_from_object(state, grasp_point))
+    for model, q in zip(config.manipulators, joints):
+        motion = differential_ik(model, q, ee_twist, ee_accel)
         if motion.damped:
             step_flags.add(FLAG_SINGULAR)
         if np.any(np.abs(motion.qdot) > model.velocity_limits):
@@ -166,7 +158,6 @@ def _step_sample(config, state, t, joints):
             return np.full(count, 1.0 / count)
 
     beta = shares(k0)
-    grasp_map = GraspMap.from_object(config.object, state.orientation)
 
     if config.mode == "baseline":
         t_delta, _ = counterbalance_moment(
@@ -258,8 +249,9 @@ def run_scenario(config, mode=None, dt=None, cycles=None):
     times = time_grid(config)
     states = [evaluate_trajectory(config.trajectory, t) for t in times]
     ik_paths = _solve_ik_paths(config, states)
+    grasp_map = GraspMap.from_object(config.object)
     samples = tuple(
-        _step_sample(config, state, float(t), joints)
+        _step_sample(config, grasp_map, state, float(t), joints)
         for state, t, joints in zip(states, times, zip(*ik_paths)))
     return RunResult(config=config, samples=samples,
                      summary=summarize(samples))

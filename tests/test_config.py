@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from coopwrench import (ManipulatorModel, ObjectState, RigidObjectModel,
+from coopwrench import (ManipulatorModel, RigidObjectModel,
                         ScenarioConfig, ScenarioSyntaxError,
                         ScenarioValidationError, TrajectorySpec, Wrench,
                         asymmetric_scenario, cuboid_inertia, parse_scenario,
@@ -260,20 +260,6 @@ def test_object_model_invariants():
     with pytest.raises(ScenarioValidationError, match="N x 3"):
         RigidObjectModel(mass=1.0, inertia=np.eye(3),
                          grasp_points=[0.1, 0.0, 0.0])
-
-
-def test_object_state_orientation_checks():
-    def state(R):
-        zero = np.zeros(3)
-        return ObjectState(position=zero, orientation=R,
-                           linear_velocity=zero, angular_velocity=zero,
-                           linear_accel=zero, angular_accel=zero)
-
-    state(np.eye(3))
-    with pytest.raises(ScenarioValidationError, match="orthonormal"):
-        state(np.eye(3) + 1e-6)
-    with pytest.raises(ScenarioValidationError, match="right-handed"):
-        state(np.diag([1.0, 1.0, -1.0]))
 
 
 def test_wrench_vector_round_trip():

@@ -160,7 +160,7 @@ def test_planar_rne_matches_spatial_sweep_on_reference_arm():
 
 def hover_state(position=(0.35, 0.0, 0.35)):
     zero = np.zeros(3)
-    return ObjectState(position, np.eye(3), zero, zero, zero, zero)
+    return ObjectState(position, zero, zero)
 
 
 def make_object(mass=2.0):
@@ -190,8 +190,7 @@ def test_circular_trajectory_centripetal_force():
         angle = rate * t
         accel = -radius * rate ** 2 * np.array(
             [np.cos(angle), 0.0, np.sin(angle)])
-        state = ObjectState([0.35, 0.0, 0.35], np.eye(3), np.zeros(3),
-                            np.zeros(3), accel, np.zeros(3))
+        state = ObjectState([0.35, 0.0, 0.35], np.zeros(3), accel)
         wrench = object_desired_wrench(obj, state, G)
         expected_x = -obj.mass * radius * rate ** 2 * np.cos(angle)
         assert abs(wrench.force[0] - expected_x) <= 1e-10
@@ -205,31 +204,8 @@ def test_wrench_linear_in_acceleration():
     accel = rng.normal(size=3)
     base = object_desired_wrench(obj, hover_state(), G)
     one = object_desired_wrench(
-        obj, ObjectState([0.35, 0.0, 0.35], np.eye(3), np.zeros(3),
-                         np.zeros(3), accel, np.zeros(3)), G)
+        obj, ObjectState([0.35, 0.0, 0.35], np.zeros(3), accel), G)
     two = object_desired_wrench(
-        obj, ObjectState([0.35, 0.0, 0.35], np.eye(3), np.zeros(3),
-                         np.zeros(3), 2.0 * accel, np.zeros(3)), G)
+        obj, ObjectState([0.35, 0.0, 0.35], np.zeros(3), 2.0 * accel), G)
     np.testing.assert_allclose(two.force - base.force,
                                2.0 * (one.force - base.force), atol=1e-12)
-
-
-def test_gyroscopic_torque():
-    # omega x (I omega) for a spinning asymmetric body, hand-computed
-    obj = RigidObjectModel(mass=1.0, inertia=np.diag([1.0, 2.0, 3.0]),
-                           grasp_points=[[0.0, 0.0, 0.0]])
-    state = ObjectState(np.zeros(3), np.eye(3), np.zeros(3), [1.0, 1.0, 0.0],
-                        np.zeros(3), np.zeros(3))
-    wrench = object_desired_wrench(obj, state, 0.0)
-    np.testing.assert_allclose(wrench.torque, [0.0, 0.0, 1.0], atol=1e-15)
-
-
-def test_rotated_inertia_enters_world_frame():
-    obj = RigidObjectModel(mass=1.0, inertia=np.diag([1.0, 2.0, 3.0]),
-                           grasp_points=[[0.0, 0.0, 0.0]])
-    # quarter turn about Z swaps the roles of the X and Y axes
-    R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    state = ObjectState(np.zeros(3), R, np.zeros(3), np.zeros(3),
-                        np.zeros(3), [1.0, 0.0, 0.0])
-    wrench = object_desired_wrench(obj, state, 0.0)
-    np.testing.assert_allclose(wrench.torque, [2.0, 0.0, 0.0], atol=1e-12)

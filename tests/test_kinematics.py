@@ -8,12 +8,12 @@ central finite differences of the oracle-verified forward kinematics.
 import numpy as np
 import pytest
 
-from coopwrench import (JointState, Pose, ScenarioValidationError,
-                        differential_ik, ee_accel_from_object,
-                        ee_pose_from_object, ee_twist_from_object,
-                        evaluate_trajectory, forward_kinematics, ik_planar3r,
-                        jacobian, joint_positions, planar_angle,
-                        planar_rotation, reference_scenario)
+from coopwrench import (JointState, ObjectState, Pose,
+                        ScenarioValidationError, differential_ik,
+                        ee_pose_from_object, evaluate_trajectory,
+                        forward_kinematics, ik_planar3r, jacobian,
+                        joint_positions, planar_angle, planar_rotation,
+                        reference_scenario)
 from coopwrench.kinematics import JOINT_AXIS
 from oracles import transform_chain_fk
 
@@ -220,9 +220,10 @@ def test_differential_ik_matches_trajectory_differencing():
     q0 = solved_q(t0, np.array([0.0, -1.5, 1.0]))
     qp = solved_q(t0 + h, q0)
     qm = solved_q(t0 - h, q0)
+    zero = np.zeros(3)
     motion = differential_ik(arm, JointState(q0),
-                             ee_twist_from_object(state, grasp),
-                             ee_accel_from_object(state, grasp))
+                             np.concatenate([state.linear_velocity, zero]),
+                             np.concatenate([state.linear_accel, zero]))
     fd_qdot = (qp - qm) / (2.0 * h)
     fd_qddot = (qp - 2.0 * q0 + qm) / h ** 2
     np.testing.assert_allclose(motion.qdot, fd_qdot, atol=1e-4)
@@ -239,57 +240,10 @@ def test_differential_ik_damps_at_singularity():
 
 
 def test_ee_pose_from_object():
-    from coopwrench import ObjectState
-    state = ObjectState([0.35, 0.0, 0.35], np.eye(3), np.zeros(3),
-                        np.zeros(3), np.zeros(3), np.zeros(3))
+    state = ObjectState([0.35, 0.0, 0.35], np.zeros(3), np.zeros(3))
     pose = ee_pose_from_object(state, [0.1, 0.0, 0.0])
     np.testing.assert_allclose(pose.position, [0.45, 0.0, 0.35])
     np.testing.assert_allclose(pose.orientation, np.eye(3))
-
-    flipped = ObjectState([0.35, 0.0, 0.35], np.diag([-1.0, 1.0, -1.0]),
-                          np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    pose = ee_pose_from_object(flipped, [0.1, 0.0, 0.0])
-    np.testing.assert_allclose(pose.position, [0.25, 0.0, 0.35])
-
-
-def test_ee_twist_from_object():
-    from coopwrench import ObjectState
-    still = ObjectState([0.0, 0.0, 0.0], np.eye(3), np.zeros(3), np.zeros(3),
-                        np.zeros(3), np.zeros(3))
-    np.testing.assert_array_equal(ee_twist_from_object(still, [0.1, 0, 0]),
-                                  np.zeros(6))
-
-    translating = ObjectState([0.0, 0.0, 0.0], np.eye(3), [0.2, 0.0, -0.1],
-                              np.zeros(3), np.zeros(3), np.zeros(3))
-    twist = ee_twist_from_object(translating, [0.1, 0.0, 0.0])
-    np.testing.assert_allclose(twist[:3], [0.2, 0.0, -0.1])
-    np.testing.assert_array_equal(twist[3:], np.zeros(3))
-
-    spinning = ObjectState([0.0, 0.0, 0.0], np.eye(3), np.zeros(3),
-                           [0.0, 1.0, 0.0], np.zeros(3), np.zeros(3))
-    twist = ee_twist_from_object(spinning, [0.1, 0.0, 0.0])
-    np.testing.assert_allclose(twist[:3], [0.0, 0.0, -0.1], atol=1e-15)
-    np.testing.assert_allclose(twist[3:], [0.0, 1.0, 0.0])
-
-
-def test_ee_twist_zero_offset_is_object_twist():
-    from coopwrench import ObjectState
-    rng = np.random.default_rng(15)
-    state = ObjectState([0.1, 0.0, 0.2], np.eye(3), rng.normal(size=3),
-                        rng.normal(size=3), np.zeros(3), np.zeros(3))
-    twist = ee_twist_from_object(state, np.zeros(3))
-    np.testing.assert_array_equal(twist[:3], state.linear_velocity)
-    np.testing.assert_array_equal(twist[3:], state.angular_velocity)
-
-
-def test_ee_accel_from_object_centripetal():
-    from coopwrench import ObjectState
-    # steady spin about Y: grasp point accelerates toward the axis
-    state = ObjectState([0.0, 0.0, 0.0], np.eye(3), np.zeros(3),
-                        [0.0, 2.0, 0.0], np.zeros(3), np.zeros(3))
-    accel = ee_accel_from_object(state, [0.1, 0.0, 0.0])
-    np.testing.assert_allclose(accel[:3], [-0.4, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_array_equal(accel[3:], np.zeros(3))
 
 
 def test_pose_rejects_skewed_orientation():

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from coopwrench import (AllocationWeights, ExportError, GraspMap, RunResult,
-                        TrajectoryError, TrajectorySpec, Wrench, capability,
-                        evaluate_trajectory, export, grasp,
-                        object_desired_wrench, object_wrench_from_ee,
-                        reference_scenario, runner, run_scenario, summarize,
-                        time_grid)
+from coopwrench import (MODES, AllocationWeights, ExportError, GraspMap,
+                        RunResult, TrajectoryError, TrajectorySpec, Wrench,
+                        asymmetric_scenario, capability, evaluate_trajectory,
+                        export, grasp, object_desired_wrench,
+                        object_wrench_from_ee, reference_scenario, runner,
+                        run_scenario, summarize, time_grid)
 from coopwrench.runner import emit_plot_data, result_dict
 
 
@@ -51,8 +51,6 @@ def test_circle_state_at_start():
     np.testing.assert_allclose(state.linear_accel,
                                [-0.05 * (0.4 * math.pi) ** 2, 0.0, 0.0],
                                atol=1e-15)
-    np.testing.assert_array_equal(state.orientation, np.eye(3))
-    np.testing.assert_array_equal(state.angular_velocity, np.zeros(3))
 
 
 def test_circle_state_quarter_period():
@@ -144,7 +142,7 @@ def test_per_step_load_balance_closes(short_both):
         state = evaluate_trajectory(config.trajectory, sample.time)
         h_d = object_desired_wrench(config.object, state, config.gravity)
         h_delta = Wrench(np.zeros(3), -sample.t_delta)
-        grasp_map = GraspMap.from_object(config.object, state.orientation)
+        grasp_map = GraspMap.from_object(config.object)
         parts = [
             Wrench.from_vector(beta_i * h_d.as_vector()
                                + alpha_i * h_delta.as_vector())
@@ -218,6 +216,29 @@ def test_run_builds_no_grasp_matrices(monkeypatch):
     result = run_scenario(reference_scenario(), mode="both", dt=0.5,
                           cycles=1)
     assert len(result.samples) == 11
+
+
+@pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
+def test_object_inertia_and_dimensions_reach_no_output(tmp_path, scenario):
+    # both trajectory kinds translate the object without rotating it, so its
+    # inertia and dimensions are recorded but enter no result; a rotating
+    # trajectory kind has to change this test on purpose
+    config = scenario().with_overrides(dt=0.1, cycles=1)
+    obj = config.object
+    heavy = dataclasses.replace(config, object=dataclasses.replace(
+        obj, inertia=37.0 * obj.inertia + np.diag([1.0, 2.0, 3.0]),
+        dimensions=2.0 * obj.dimensions + 0.1))
+    for mode in MODES:
+        csv = []
+        for name, variant in (("plain", config), ("heavy", heavy)):
+            path = tmp_path / f"{name}-{mode}.csv"
+            export(run_scenario(variant, mode=mode), "csv", path)
+            csv.append(path.read_bytes())
+        assert csv[0] == csv[1], mode
+    for t in time_grid(heavy):
+        state = evaluate_trajectory(heavy.trajectory, t)
+        wrench = object_desired_wrench(heavy.object, state, heavy.gravity)
+        assert np.all(wrench.torque == 0.0)
 
 
 def test_csv_contract(tmp_path, short_both):
