@@ -172,8 +172,8 @@ class RigidObjectModel:
     dimensions: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ScenarioValidationError("mass must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ScenarioValidationError("mass must be positive and finite")
         _set(self, "inertia", _freeze(self.inertia, (3, 3), "inertia"))
         pts = _freeze(self.grasp_points, None, "grasp_points")
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
@@ -220,8 +220,11 @@ class TrajectorySpec:
             raise ScenarioValidationError(
                 f"trajectory kind must be one of {TRAJECTORY_KINDS}")
         _set(self, "center", _freeze(self.center, (3,), "trajectory center"))
-        if self.radius < 0.0:
-            raise ScenarioValidationError("trajectory radius must be non-negative")
+        if not 0.0 <= self.radius < math.inf:
+            raise ScenarioValidationError(
+                "trajectory radius must be non-negative and finite")
+        if not math.isfinite(self.angular_rate):
+            raise ScenarioValidationError("trajectory angular_rate must be finite")
         if self.kind == "circle" and self.angular_rate == 0.0:
             raise ScenarioValidationError(
                 "circle trajectory needs a nonzero angular_rate")
@@ -270,6 +273,8 @@ class ScenarioConfig:
             if arm.joint_count != 3:
                 raise ScenarioValidationError(
                     f"manipulator {arm.id}: joint count must be 3")
+        if not math.isfinite(self.gravity):
+            raise ScenarioValidationError("gravity must be finite")
         if not 0.0 < self.dt < math.inf:
             raise ScenarioValidationError("dt must be positive and finite")
         if int(self.cycles) != self.cycles or self.cycles < 1:
@@ -369,10 +374,36 @@ def _complete(cls, values, context):
     return values
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """Safe YAML loading that rejects a key repeated within one mapping.
+
+    Keys are compared as written, before merge keys (``<<``) are expanded,
+    so a key written next to a merge still overrides the merged value.
+    """
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or \
+                    key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.composer.ComposerError(
+                    "while composing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return node
+
+
 def parse_scenario(text):
     """Parse scenario YAML text into a validated ScenarioConfig."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ScenarioLoader)
+    except RecursionError:
+        raise ScenarioSyntaxError(
+            "invalid scenario syntax: nesting too deep") from None
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         line = mark.line + 1 if mark is not None else None

@@ -75,6 +75,16 @@ def test_undecodable_scenario_exits_validation(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_scenario_exits_validation(tmp_path, capsys):
+    path = write_scenario(tmp_path, "[" * 500 + "]" * 500)
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("nesting too deep") == 2
+    assert "Traceback" not in err
+
+
 def test_run_writes_all_outputs(tmp_path, capsys):
     path = write_scenario(tmp_path)
     out = tmp_path / "results"

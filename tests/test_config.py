@@ -223,6 +223,55 @@ def test_non_finite_number_rejected_at_parse_time(section, key, value):
         reparse(doc)
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: TrajectorySpec(kind="circle", radius=0.05,
+                            angular_rate=math.nan), "angular_rate"),
+    (lambda: TrajectorySpec(kind="circle", radius=0.05,
+                            angular_rate=math.inf), "angular_rate"),
+    (lambda: TrajectorySpec(kind="circle", radius=math.nan,
+                            angular_rate=1.0), "radius"),
+    (lambda: TrajectorySpec(kind="static-hold", radius=math.inf), "radius"),
+    (lambda: RigidObjectModel(mass=math.nan, inertia=np.eye(3),
+                              grasp_points=[[0.1, 0.0, 0.0]]), "mass"),
+    (lambda: RigidObjectModel(mass=math.inf, inertia=np.eye(3),
+                              grasp_points=[[0.1, 0.0, 0.0]]), "mass"),
+    (lambda: dataclasses.replace(reference_scenario(), gravity=math.nan),
+     "gravity"),
+], ids=["rate-nan", "rate-inf", "radius-nan", "radius-inf", "mass-nan",
+        "mass-inf", "gravity-nan"])
+def test_non_finite_model_value_rejected_by_the_dataclass(build, field):
+    with pytest.raises(ScenarioValidationError,
+                       match=f"{field} must be .*finite"):
+        build()
+
+
+def test_repeated_top_level_key_is_a_syntax_error():
+    text = REFERENCE_SCENARIO_TEXT.replace("dt: 0.01\n",
+                                           "dt: 0.01\ndt: 0.5\n")
+    with pytest.raises(ScenarioSyntaxError,
+                       match="duplicate key 'dt'") as info:
+        parse_scenario(text)
+    assert info.value.line == text.splitlines().index("dt: 0.5") + 1
+
+
+def test_repeated_manipulator_key_is_a_syntax_error():
+    text = REFERENCE_SCENARIO_TEXT.replace(
+        "  - id: 2\n", "  - id: 2\n    id: 5\n")
+    with pytest.raises(ScenarioSyntaxError,
+                       match="duplicate key 'id'") as info:
+        parse_scenario(text)
+    assert info.value.line == text.splitlines().index("    id: 5") + 1
+
+
+def test_merge_key_values_are_overridden_by_written_keys():
+    # a key written beside a YAML merge key overrides the merged value
+    text = REFERENCE_SCENARIO_TEXT.replace(
+        "  - id: 1\n", "  - &arm\n    id: 1\n").replace(
+        "  - id: 4\n", "  - <<: *arm\n    id: 4\n")
+    config = parse_scenario(text)
+    assert [arm.id for arm in config.manipulators] == [1, 2, 3, 4]
+
+
 def test_manipulator_invariants():
     def arm(**overrides):
         fields = dict(
