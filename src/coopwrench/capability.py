@@ -44,7 +44,7 @@ class CapabilityProblem:
         n = np.asarray(self.jt_hd).size
         for name in ("jt_hd", "jt_hdelta", "tau_prime", "tau_max"):
             _set(self, name, _freeze(getattr(self, name), (n,), name))
-        if np.any(self.tau_max <= 0.0):
+        if (self.tau_max <= 0.0).any():
             raise ScenarioValidationError("tau_max must be strictly positive")
 
     @property
@@ -74,6 +74,12 @@ class CapabilitySample:
         _set(self, "flags", frozenset(self.flags))
 
 
+def _check_cap(unbounded_cap):
+    if not 0.0 < unbounded_cap < np.inf:
+        raise ValueError("unbounded_cap must be positive and finite, "
+                         f"got {unbounded_cap!r}")
+
+
 class ScalarCapability(NamedTuple):
     k: float
     flag: str | None
@@ -90,20 +96,27 @@ def capability_scalar(problem, *, alpha_i=0.0,
     Rows whose jt_hd entry is zero cannot bound k; they only gate
     feasibility.  If no row bounds k from above the documented cap is
     returned with a flag, as it also is when a finite bound exceeds the cap.
+    alpha_i must be finite and unbounded_cap positive and finite
+    (ValueError otherwise).
     """
+    if not -np.inf < alpha_i < np.inf:
+        raise ValueError(f"alpha_i must be finite, got {alpha_i!r}")
+    _check_cap(unbounded_cap)
     offset = problem.tau_prime + alpha_i * problem.jt_hdelta
     a = problem.jt_hd
     tau = problem.tau_max
     fixed = a == 0.0
-    if np.any(np.abs(offset[fixed]) > tau[fixed]):
-        return ScalarCapability(0.0, FLAG_INFEASIBLE)
-    active = ~fixed
-    if not np.any(active):
-        return ScalarCapability(float(unbounded_cap), FLAG_UNBOUNDED)
-    lo = (-tau[active] - offset[active]) / a[active]
-    hi = (tau[active] - offset[active]) / a[active]
-    lower = float(max(0.0, np.max(np.minimum(lo, hi))))
-    upper = float(np.min(np.maximum(lo, hi)))
+    if fixed.any():
+        if (np.abs(offset[fixed]) > tau[fixed]).any():
+            return ScalarCapability(0.0, FLAG_INFEASIBLE)
+        active = ~fixed
+        if not active.any():
+            return ScalarCapability(float(unbounded_cap), FLAG_UNBOUNDED)
+        a, offset, tau = a[active], offset[active], tau[active]
+    lo = (-tau - offset) / a
+    hi = (tau - offset) / a
+    lower = float(max(0.0, np.minimum(lo, hi).max()))
+    upper = float(np.maximum(lo, hi).min())
     if upper < lower:
         return ScalarCapability(0.0, FLAG_INFEASIBLE)
     if upper > unbounded_cap:
@@ -154,6 +167,7 @@ def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     unbounded scales at the documented ceiling instead of an unbounded
     verdict.
     """
+    _check_cap(unbounded_cap)
     count = len(problems)
     n_vars = 2 * count
     rows = []

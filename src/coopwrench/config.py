@@ -56,10 +56,20 @@ def _freeze(values, shape, name):
     if shape is not None and arr.shape != shape:
         raise ScenarioValidationError(
             f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ScenarioValidationError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def _real(value):
+    """value as a float if it is a real number, else NaN (fails range checks)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
 
 
 def _set(obj, name, value):
@@ -172,7 +182,7 @@ class RigidObjectModel:
     dimensions: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.mass < math.inf:
+        if not 0.0 < _real(self.mass) < math.inf:
             raise ScenarioValidationError("mass must be positive and finite")
         _set(self, "inertia", _freeze(self.inertia, (3, 3), "inertia"))
         pts = _freeze(self.grasp_points, None, "grasp_points")
@@ -220,10 +230,10 @@ class TrajectorySpec:
             raise ScenarioValidationError(
                 f"trajectory kind must be one of {TRAJECTORY_KINDS}")
         _set(self, "center", _freeze(self.center, (3,), "trajectory center"))
-        if not 0.0 <= self.radius < math.inf:
+        if not 0.0 <= _real(self.radius) < math.inf:
             raise ScenarioValidationError(
                 "trajectory radius must be non-negative and finite")
-        if not math.isfinite(self.angular_rate):
+        if not math.isfinite(_real(self.angular_rate)):
             raise ScenarioValidationError("trajectory angular_rate must be finite")
         if self.kind == "circle" and self.angular_rate == 0.0:
             raise ScenarioValidationError(
@@ -273,9 +283,9 @@ class ScenarioConfig:
             if arm.joint_count != 3:
                 raise ScenarioValidationError(
                     f"manipulator {arm.id}: joint count must be 3")
-        if not math.isfinite(self.gravity):
+        if not math.isfinite(_real(self.gravity)):
             raise ScenarioValidationError("gravity must be finite")
-        if not 0.0 < self.dt < math.inf:
+        if not 0.0 < _real(self.dt) < math.inf:
             raise ScenarioValidationError("dt must be positive and finite")
         if int(self.cycles) != self.cycles or self.cycles < 1:
             raise ScenarioValidationError("cycles must be an integer >= 1")
@@ -285,7 +295,7 @@ class ScenarioConfig:
         if self.beta_policy not in BETA_POLICIES:
             raise ScenarioValidationError(
                 f"beta_policy must be one of {BETA_POLICIES}")
-        if not 0.0 < self.unbounded_cap < math.inf:
+        if not 0.0 < _real(self.unbounded_cap) < math.inf:
             raise ScenarioValidationError(
                 "unbounded_cap must be positive and finite")
         if int(self.beta_iterations) != self.beta_iterations or \

@@ -59,7 +59,7 @@ class Pose:
         _set(self, "orientation",
              _freeze(self.orientation, (3, 3), "pose orientation"))
         R = self.orientation
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
+        if np.abs(R.T @ R - np.eye(3)).max() > 1e-12:
             raise ScenarioValidationError("pose orientation must be orthonormal")
 
 
@@ -79,8 +79,23 @@ def planar_angle(orientation):
     return float(np.arctan2(orientation[2, 0], orientation[0, 0]))
 
 
-def _link_angles(model, q):
-    return np.cumsum(q)
+def _link_points(model, q):
+    """X and Z of each joint origin and of the end effector, as floats.
+
+    Each coordinate is the base plus a prefix sum of the link vectors,
+    summed left to right as np.cumsum does; that order fixes the bits.
+    """
+    if q.shape != model.link_lengths.shape:
+        raise ValueError(f"q must have {model.joint_count} entries, "
+                         f"got shape {q.shape}")
+    angles = q.cumsum()
+    dx = (model.link_lengths * np.cos(angles)).tolist()
+    dz = (model.link_lengths * np.sin(angles)).tolist()
+    for j in range(1, len(dx)):
+        dx[j] += dx[j - 1]
+        dz[j] += dz[j - 1]
+    bx, _, bz = model.base_position.tolist()
+    return [bx] + [bx + x for x in dx], [bz] + [bz + z for z in dz]
 
 
 def joint_positions(model, q):
@@ -89,14 +104,9 @@ def joint_positions(model, q):
     Returns an (n+1, 3) array: row 0 is the base (joint 1), row j the origin
     of joint j+1, and the last row the end-effector point.
     """
-    q = np.asarray(q, dtype=float)
-    angles = _link_angles(model, q)
-    points = np.zeros((q.size + 1, 3))
-    points[0] = model.base_position
-    points[1:, 0] = model.base_position[0] + np.cumsum(model.link_lengths * np.cos(angles))
-    points[1:, 1] = model.base_position[1]
-    points[1:, 2] = model.base_position[2] + np.cumsum(model.link_lengths * np.sin(angles))
-    return points
+    xs, zs = _link_points(model, np.asarray(q, dtype=float))
+    by = float(model.base_position[1])
+    return np.array([[x, by, z] for x, z in zip(xs, zs)])
 
 
 def forward_kinematics(model, state):
@@ -114,20 +124,13 @@ def jacobian(model, state):
     about -Y for positive joint rates).
     """
     q = state.q if isinstance(state, JointState) else np.asarray(state, float)
-    n = q.size
-    points = joint_positions(model, q)
-    ee = points[-1]
-    J = np.zeros((6, n))
-    # JOINT_AXIS x lever expands to (-lever_z, 0, lever_x)
-    J[0, :] = points[:-1, 2] - ee[2]
-    J[2, :] = ee[0] - points[:-1, 0]
-    J[3:, :] = JOINT_AXIS[:, None]
-    return J
-
-
-def _planar_block(J):
-    # rows px, pz, wy of the full Jacobian
-    return J[[0, 2, 4], :]
+    xs, zs = _link_points(model, q)
+    ex, ez = xs.pop(), zs.pop()
+    zero = [0.0] * len(xs)
+    # JOINT_AXIS x lever expands to (-lever_z, 0, lever_x); the angular
+    # rows are JOINT_AXIS per joint
+    return np.array([[z - ez for z in zs], zero, [ex - x for x in xs],
+                     zero, [-1.0] * len(xs), zero])
 
 
 def ik_planar3r(model, target):
@@ -162,7 +165,7 @@ def ik_planar3r(model, target):
                    - np.arctan2(l2 * np.sin(q2), l1 + l2 * np.cos(q2)))
         q3 = pitch - q1 - q2
         solutions.append(np.array([q1, q2, q3]))
-    if np.max(np.abs(solutions[0] - solutions[1])) < 1e-10:
+    if np.abs(solutions[0] - solutions[1]).max() < 1e-10:
         solutions = solutions[:1]
     return [JointState(q) for q in solutions]
 
@@ -173,13 +176,12 @@ class DifferentialIk(NamedTuple):
     damped: bool
 
 
-def _solve_planar(J3, rhs):
-    """Solve the 3x3 planar system, damping it near singularities."""
-    smallest = np.linalg.svd(J3, compute_uv=False)[-1]
-    if smallest < SINGULAR_THRESHOLD:
+def _solve_planar(J3, rhs, damped):
+    """Solve the 3x3 planar system, by damped least squares if singular."""
+    if damped:
         lhs = J3.T @ J3 + DAMPING * np.eye(3)
-        return np.linalg.solve(lhs, J3.T @ rhs), True
-    return np.linalg.solve(J3, rhs), False
+        return np.linalg.solve(lhs, J3.T @ rhs)
+    return np.linalg.solve(J3, rhs)
 
 
 def differential_ik(model, state, ee_twist, ee_accel):
@@ -194,18 +196,19 @@ def differential_ik(model, state, ee_twist, ee_accel):
     q = state.q if isinstance(state, JointState) else np.asarray(state, float)
     ee_twist = np.asarray(ee_twist, dtype=float)
     ee_accel = np.asarray(ee_accel, dtype=float)
-    J3 = _planar_block(jacobian(model, q))
-    qdot, damped_vel = _solve_planar(J3, ee_twist[[0, 2, 4]])
-    jdot = np.zeros((6, q.size))
+    J3 = jacobian(model, q)[[0, 2, 4]]  # rows px, pz, wy
+    damped = bool(np.linalg.svd(J3, compute_uv=False)[-1] < SINGULAR_THRESHOLD)
+    qdot = _solve_planar(J3, ee_twist[[0, 2, 4]], damped)
+    jdot = np.zeros((3, q.size))  # the same rows; [::2] selects them too
+    bump = np.zeros(q.size)
     for j in range(q.size):
-        bump = np.zeros(q.size)
         bump[j] = _FD_STEP
-        dJ = (jacobian(model, q + bump) - jacobian(model, q - bump)) \
-            / (2.0 * _FD_STEP)
+        dJ = (jacobian(model, q + bump)[::2]
+              - jacobian(model, q - bump)[::2]) / (2.0 * _FD_STEP)
+        bump[j] = 0.0
         jdot += dJ * qdot[j]
-    rhs = ee_accel[[0, 2, 4]] - _planar_block(jdot) @ qdot
-    qddot, damped_acc = _solve_planar(J3, rhs)
-    return DifferentialIk(qdot, qddot, damped_vel or damped_acc)
+    qddot = _solve_planar(J3, ee_accel[[0, 2, 4]] - jdot @ qdot, damped)
+    return DifferentialIk(qdot, qddot, damped)
 
 
 def ee_pose_from_object(state, grasp_point):

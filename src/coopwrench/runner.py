@@ -127,7 +127,7 @@ def _step_sample(config, grasp_map, state, t, joints):
         motion = differential_ik(model, q, ee_twist, ee_accel)
         if motion.damped:
             step_flags.add(FLAG_SINGULAR)
-        if np.any(np.abs(motion.qdot) > model.velocity_limits):
+        if (np.abs(motion.qdot) > model.velocity_limits).any():
             step_flags.add(FLAG_VELOCITY)
         tau_prime = inverse_dynamics(
             model, JointState(q, motion.qdot, motion.qddot), config.gravity)

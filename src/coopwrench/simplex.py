@@ -83,21 +83,21 @@ def _iterate(T, basis, cost):
     """Run simplex iterations for one phase; returns 'optimal'/'unbounded'."""
     for iteration in range(_MAX_ITER):
         reduced = cost[basis] @ T[:, :-1] - cost
-        candidates = np.flatnonzero(reduced < -_COST_TOL)
+        candidates = (reduced < -_COST_TOL).nonzero()[0]
         if candidates.size == 0:
             return OPTIMAL
         if iteration < _BLAND_AFTER:
-            col = candidates[int(np.argmin(reduced[candidates]))]
+            col = candidates[int(reduced[candidates].argmin())]
         else:
             col = candidates[0]
         coeffs = T[:, col]
-        rows = np.flatnonzero(coeffs > _PIVOT_TOL)
+        rows = (coeffs > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return UNBOUNDED
         ratios = np.maximum(T[rows, -1], 0.0) / coeffs[rows]
         best = ratios.min()
-        ties = rows[np.flatnonzero(ratios <= best + _PIVOT_TOL)]
-        row = ties[int(np.argmin(basis[ties]))]
+        ties = rows[(ratios <= best + _PIVOT_TOL).nonzero()[0]]
+        row = ties[int(basis[ties].argmin())]
         _pivot(T, basis, row, col)
     raise RuntimeError("simplex iteration limit exceeded")
 

@@ -5,10 +5,16 @@ algorithms than the package: forward kinematics by chained homogeneous
 transforms, planar 2R dynamics written out longhand, linear programs by
 brute-force vertex enumeration, and capability scalars by feasibility
 bisection.  None of it imports package internals beyond public data types.
+
+The ``reference_*`` kinematics are the package's earlier array formulation,
+frozen verbatim when the step path was rewritten, so the rewrite can be held
+to the same output bits.
 """
 from itertools import combinations
 
 import numpy as np
+
+from coopwrench.kinematics import DifferentialIk, JointState
 
 
 def rodrigues(axis, angle):
@@ -193,3 +199,74 @@ def bisect_capability(problem, use_delta=False, alpha_i=0.0, cap=1e6):
         else:
             hi = mid
     return lo
+
+
+# Frozen copy of the array formulation of the planar kinematics.
+_REFERENCE_JOINT_AXIS = np.array([0.0, -1.0, 0.0])
+_REFERENCE_SINGULAR_THRESHOLD = 1e-6
+_REFERENCE_DAMPING = 1e-6
+_REFERENCE_FD_STEP = 1e-7
+
+
+def _reference_link_angles(model, q):
+    return np.cumsum(q)
+
+
+def reference_joint_positions(model, q):
+    """World positions of each joint origin plus the end effector."""
+    q = np.asarray(q, dtype=float)
+    angles = _reference_link_angles(model, q)
+    points = np.zeros((q.size + 1, 3))
+    points[0] = model.base_position
+    points[1:, 0] = model.base_position[0] + np.cumsum(model.link_lengths * np.cos(angles))
+    points[1:, 1] = model.base_position[1]
+    points[1:, 2] = model.base_position[2] + np.cumsum(model.link_lengths * np.sin(angles))
+    return points
+
+
+def reference_jacobian(model, state):
+    """Geometric Jacobian (6 x n), rows [px, py, pz, wx, wy, wz]."""
+    q = state.q if isinstance(state, JointState) else np.asarray(state, float)
+    n = q.size
+    points = reference_joint_positions(model, q)
+    ee = points[-1]
+    J = np.zeros((6, n))
+    # JOINT_AXIS x lever expands to (-lever_z, 0, lever_x)
+    J[0, :] = points[:-1, 2] - ee[2]
+    J[2, :] = ee[0] - points[:-1, 0]
+    J[3:, :] = _REFERENCE_JOINT_AXIS[:, None]
+    return J
+
+
+def _reference_planar_block(J):
+    # rows px, pz, wy of the full Jacobian
+    return J[[0, 2, 4], :]
+
+
+def _reference_solve_planar(J3, rhs):
+    """Solve the 3x3 planar system, damping it near singularities."""
+    smallest = np.linalg.svd(J3, compute_uv=False)[-1]
+    if smallest < _REFERENCE_SINGULAR_THRESHOLD:
+        lhs = J3.T @ J3 + _REFERENCE_DAMPING * np.eye(3)
+        return np.linalg.solve(lhs, J3.T @ rhs), True
+    return np.linalg.solve(J3, rhs), False
+
+
+def reference_differential_ik(model, state, ee_twist, ee_accel):
+    """Joint velocities and accelerations realizing an end-effector motion."""
+    q = state.q if isinstance(state, JointState) else np.asarray(state, float)
+    ee_twist = np.asarray(ee_twist, dtype=float)
+    ee_accel = np.asarray(ee_accel, dtype=float)
+    J3 = _reference_planar_block(reference_jacobian(model, q))
+    qdot, damped_vel = _reference_solve_planar(J3, ee_twist[[0, 2, 4]])
+    jdot = np.zeros((6, q.size))
+    for j in range(q.size):
+        bump = np.zeros(q.size)
+        bump[j] = _REFERENCE_FD_STEP
+        dJ = (reference_jacobian(model, q + bump)
+              - reference_jacobian(model, q - bump)) \
+            / (2.0 * _REFERENCE_FD_STEP)
+        jdot += dJ * qdot[j]
+    rhs = ee_accel[[0, 2, 4]] - _reference_planar_block(jdot) @ qdot
+    qddot, damped_acc = _reference_solve_planar(J3, rhs)
+    return DifferentialIk(qdot, qddot, damped_vel or damped_acc)

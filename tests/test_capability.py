@@ -372,3 +372,26 @@ def test_group_solves_take_no_pass_through_arguments():
         group_capability_joint([problem], beta=[1.0])
     with pytest.raises(TypeError):
         group_capability_joint([problem], [1.0])
+
+
+@pytest.mark.parametrize("alpha_i", [np.nan, np.inf, -np.inf])
+def test_non_finite_share_is_rejected(alpha_i):
+    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.5], tau_prime=[0.0],
+                                tau_max=[1.0])
+    with pytest.raises(ValueError, match="alpha_i"):
+        capability_scalar(problem, alpha_i=alpha_i)
+    with pytest.raises(ValueError, match="alpha_i"):
+        group_capability([problem, problem], [alpha_i, 1.0])
+
+
+@pytest.mark.parametrize("cap", [-1.0, 0.0, np.nan, np.inf])
+def test_cap_must_be_positive_and_finite(cap):
+    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.5], tau_prime=[0.0],
+                                tau_max=[1.0])
+    for solve in (lambda: capability_scalar(problem, unbounded_cap=cap),
+                  lambda: group_capability([problem], [1.0],
+                                           unbounded_cap=cap),
+                  lambda: group_capability_joint([problem],
+                                                 unbounded_cap=cap)):
+        with pytest.raises(ValueError, match="unbounded_cap"):
+            solve()

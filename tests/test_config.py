@@ -237,8 +237,20 @@ def test_non_finite_number_rejected_at_parse_time(section, key, value):
                               grasp_points=[[0.1, 0.0, 0.0]]), "mass"),
     (lambda: dataclasses.replace(reference_scenario(), gravity=math.nan),
      "gravity"),
+    (lambda: TrajectorySpec(kind="circle", radius="0.1",
+                            angular_rate=1.0), "radius"),
+    (lambda: TrajectorySpec(kind="circle", radius=0.1,
+                            angular_rate="1.0"), "angular_rate"),
+    (lambda: RigidObjectModel(mass="2", inertia=np.eye(3),
+                              grasp_points=[[0.1, 0.0, 0.0]]), "mass"),
+    (lambda: dataclasses.replace(reference_scenario(), dt="0.1"), "dt"),
+    (lambda: dataclasses.replace(reference_scenario(), gravity="9.8"),
+     "gravity"),
+    (lambda: dataclasses.replace(reference_scenario(), unbounded_cap=None),
+     "unbounded_cap"),
 ], ids=["rate-nan", "rate-inf", "radius-nan", "radius-inf", "mass-nan",
-        "mass-inf", "gravity-nan"])
+        "mass-inf", "gravity-nan", "radius-text", "rate-text", "mass-text",
+        "dt-text", "gravity-text", "cap-none"])
 def test_non_finite_model_value_rejected_by_the_dataclass(build, field):
     with pytest.raises(ScenarioValidationError,
                        match=f"{field} must be .*finite"):

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from coopwrench import (JointState, ObjectState, Pose,
-                        ScenarioValidationError, differential_ik,
-                        ee_pose_from_object, evaluate_trajectory,
-                        forward_kinematics, ik_planar3r, jacobian,
-                        joint_positions, planar_angle, planar_rotation,
-                        reference_scenario)
+                        ScenarioValidationError, asymmetric_scenario,
+                        differential_ik, ee_pose_from_object,
+                        evaluate_trajectory, forward_kinematics, ik_planar3r,
+                        jacobian, joint_positions, planar_angle,
+                        planar_rotation, reference_scenario, time_grid)
 from coopwrench.kinematics import JOINT_AXIS
-from oracles import transform_chain_fk
+from coopwrench.runner import _solve_ik_paths
+from oracles import (reference_differential_ik, reference_jacobian,
+                     reference_joint_positions, transform_chain_fk)
 
 
 def make_arm(base=(0.0, 0.0, 0.0), lengths=(0.1, 0.1, 0.1)):
@@ -249,3 +251,65 @@ def test_ee_pose_from_object():
 def test_pose_rejects_skewed_orientation():
     with pytest.raises(ScenarioValidationError):
         Pose([0.0, 0.0, 0.0], np.eye(3) + 1e-6)
+
+
+def assert_same_bits(actual, expected):
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def assert_kinematics_match_reference(arm, q, twist, accel):
+    assert_same_bits(joint_positions(arm, q),
+                     reference_joint_positions(arm, q))
+    assert_same_bits(jacobian(arm, q), reference_jacobian(arm, q))
+    motion = differential_ik(arm, q, twist, accel)
+    frozen = reference_differential_ik(arm, q, twist, accel)
+    assert_same_bits(motion.qdot, frozen.qdot)
+    assert_same_bits(motion.qddot, frozen.qddot)
+    assert motion.damped == frozen.damped
+    return motion.damped
+
+
+BUILT_IN_ARMS = [
+    pytest.param(arm, id=f"{scenario.__name__}-{arm.id}")
+    for scenario in (reference_scenario, asymmetric_scenario)
+    for arm in scenario().manipulators]
+
+
+@pytest.mark.parametrize("arm", BUILT_IN_ARMS)
+def test_kinematics_match_frozen_reference_bit_for_bit(arm):
+    """Random states, half of them within 1e-7 of a straight or folded elbow."""
+    rng = np.random.default_rng(arm.id)
+    damped = 0
+    for i in range(400):
+        q = rng.uniform(-np.pi, np.pi, 3)
+        if i % 2:
+            q[1] = rng.choice([0.0, np.pi, -np.pi]) + rng.uniform(-1e-7, 1e-7)
+        twist, accel = np.zeros(6), np.zeros(6)
+        twist[[0, 2, 4]] = rng.normal(size=3)
+        accel[[0, 2, 4]] = rng.normal(size=3)
+        damped += assert_kinematics_match_reference(arm, q, twist, accel)
+    assert damped > 0
+
+
+@pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
+def test_kinematics_match_frozen_reference_along_ik_paths(scenario):
+    config = scenario()
+    states = [evaluate_trajectory(config.trajectory, t)
+              for t in time_grid(config)]
+    zero = np.zeros(3)
+    for arm, path in zip(config.manipulators,
+                         _solve_ik_paths(config, states)):
+        for state, q in zip(states, path):
+            assert_kinematics_match_reference(
+                arm, q, np.concatenate([state.linear_velocity, zero]),
+                np.concatenate([state.linear_accel, zero]))
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_joint_count_mismatch_is_rejected(length):
+    arm = make_arm()
+    with pytest.raises(ValueError):
+        jacobian(arm, np.zeros(length))
+    with pytest.raises(ValueError):
+        joint_positions(arm, np.zeros(length))
