@@ -72,6 +72,12 @@ def _real(value):
         return math.nan
 
 
+def _whole(value):
+    """Whether value is an integral real number (ints beyond float range too)."""
+    return isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+
+
 def _set(obj, name, value):
     # frozen dataclass: assign through object.__setattr__ during __post_init__
     object.__setattr__(obj, name, value)
@@ -287,7 +293,7 @@ class ScenarioConfig:
             raise ScenarioValidationError("gravity must be finite")
         if not 0.0 < _real(self.dt) < math.inf:
             raise ScenarioValidationError("dt must be positive and finite")
-        if int(self.cycles) != self.cycles or self.cycles < 1:
+        if not _whole(self.cycles) or self.cycles < 1:
             raise ScenarioValidationError("cycles must be an integer >= 1")
         _set(self, "cycles", int(self.cycles))
         if self.mode not in MODES:
@@ -298,8 +304,7 @@ class ScenarioConfig:
         if not 0.0 < _real(self.unbounded_cap) < math.inf:
             raise ScenarioValidationError(
                 "unbounded_cap must be positive and finite")
-        if int(self.beta_iterations) != self.beta_iterations or \
-                self.beta_iterations < 0:
+        if not _whole(self.beta_iterations) or self.beta_iterations < 0:
             raise ScenarioValidationError("beta_iterations must be >= 0")
         _set(self, "beta_iterations", int(self.beta_iterations))
         try:

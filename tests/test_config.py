@@ -257,6 +257,15 @@ def test_non_finite_model_value_rejected_by_the_dataclass(build, field):
         build()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cycles", None), ("cycles", math.inf), ("cycles", math.nan),
+    ("cycles", "2"), ("beta_iterations", None), ("beta_iterations", math.inf),
+])
+def test_non_integer_count_rejected_by_the_dataclass(field, value):
+    with pytest.raises(ScenarioValidationError, match=f"{field} must be"):
+        dataclasses.replace(reference_scenario(), **{field: value})
+
+
 def test_repeated_top_level_key_is_a_syntax_error():
     text = REFERENCE_SCENARIO_TEXT.replace("dt: 0.01\n",
                                            "dt: 0.01\ndt: 0.5\n")
