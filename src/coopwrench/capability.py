@@ -170,28 +170,23 @@ def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     _check_cap(unbounded_cap)
     count = len(problems)
     n_vars = 2 * count
-    rows = []
-    lowers = []
-    uppers = []
+    # a two-sided torque row per joint of every arm, in arm order, then the
+    # share row (the alphas sum to 1), then a cap row per scale
+    n_torque = sum(problem.joint_count for problem in problems)
+    rows = np.zeros((n_torque + 1 + count, n_vars))
+    lowers = np.full(n_torque + 1 + count, -np.inf)
+    uppers = np.full(n_torque + 1 + count, float(unbounded_cap))
+    start = 0
     for i, problem in enumerate(problems):
-        for j in range(problem.joint_count):
-            row = np.zeros(n_vars)
-            row[i] = problem.jt_hd[j]
-            row[count + i] = problem.jt_hdelta[j]
-            rows.append(row)
-            lowers.append(-problem.tau_max[j] - problem.tau_prime[j])
-            uppers.append(problem.tau_max[j] - problem.tau_prime[j])
-    share_row = np.zeros(n_vars)
-    share_row[count:] = 1.0
-    rows.append(share_row)
-    lowers.append(1.0)
-    uppers.append(1.0)
-    for i in range(count):
-        cap_row = np.zeros(n_vars)
-        cap_row[i] = 1.0
-        rows.append(cap_row)
-        lowers.append(-np.inf)
-        uppers.append(float(unbounded_cap))
+        torque = slice(start, start + problem.joint_count)
+        rows[torque, i] = problem.jt_hd
+        rows[torque, count + i] = problem.jt_hdelta
+        lowers[torque] = -problem.tau_max - problem.tau_prime
+        uppers[torque] = problem.tau_max - problem.tau_prime
+        start = torque.stop
+    rows[n_torque, count:] = 1.0
+    lowers[n_torque] = uppers[n_torque] = 1.0
+    rows[n_torque + 1:, :count] = np.eye(count)
     objective = np.zeros(n_vars)
     objective[:count] = 1.0
     nonneg = np.zeros(n_vars, dtype=bool)
@@ -199,9 +194,9 @@ def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
 
     result = simplex_solve(LinearProgram(
         objective=objective,
-        row_coeffs=np.array(rows),
-        row_lower=np.array(lowers),
-        row_upper=np.array(uppers),
+        row_coeffs=rows,
+        row_lower=lowers,
+        row_upper=uppers,
         nonnegative=nonneg,
     ))
     if result.status == INFEASIBLE:

@@ -56,7 +56,7 @@ def _freeze(values, shape, name):
     if shape is not None and arr.shape != shape:
         raise ScenarioValidationError(
             f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ScenarioValidationError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr

@@ -97,7 +97,9 @@ class AllocationWeights:
 def allocate_proportional(capabilities):
     """Shares proportional to per-manipulator capability scalars."""
     k = np.asarray(capabilities, dtype=float)
-    if np.any(k < 0.0):
+    if not np.isfinite(k).all():
+        raise ValueError(f"capabilities must be finite, got {k.tolist()!r}")
+    if (k < 0.0).any():
         raise ValueError("capability scalars must be non-negative")
     total = float(np.sum(k))
     if total <= 0.0:
@@ -112,8 +114,14 @@ def counterbalance_moment(weights, grasp_map, object_force):
     grasp centroid; the induced moment is that centroid offset crossed with
     the force.  The returned wrench (zero force, negated moment) is what the
     group must additionally apply so the object still feels exactly the
-    desired wrench.
+    desired wrench.  object_force must be a 3-vector (ValueError otherwise).
     """
-    centroid = weights.beta @ grasp_map.grasp_vectors
-    induced = np.cross(centroid, np.asarray(object_force, dtype=float))
+    force = np.asarray(object_force, dtype=float)
+    if force.shape != (3,):
+        raise ValueError(
+            f"object_force must have shape (3,), got {force.shape}")
+    cx, cy, cz = (weights.beta @ grasp_map.grasp_vectors).tolist()
+    fx, fy, fz = force.tolist()
+    induced = np.array([cy * fz - cz * fy, cz * fx - cx * fz,
+                        cx * fy - cy * fx])
     return induced, Wrench(np.zeros(3), -induced)

@@ -44,7 +44,10 @@ class JointState:
             value = getattr(self, name)
             if value is None:
                 value = np.zeros(n)
-            _set(self, name, _freeze(value, (n,), name))
+                value.flags.writeable = False
+            else:
+                value = _freeze(value, (n,), name)
+            _set(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)

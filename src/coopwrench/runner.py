@@ -122,7 +122,7 @@ def _step_sample(config, grasp_map, state, t, joints):
     ee_twist = np.concatenate([state.linear_velocity, zero])
     ee_accel = np.concatenate([state.linear_accel, zero])
 
-    arms = []  # (Jacobian, self-load torques, torque limits) per manipulator
+    arms = []  # (Jacobian, its image of h_d, self-load, limits) per arm
     for model, q in zip(config.manipulators, joints):
         motion = differential_ik(model, q, ee_twist, ee_accel)
         if motion.damped:
@@ -131,16 +131,17 @@ def _step_sample(config, grasp_map, state, t, joints):
             step_flags.add(FLAG_VELOCITY)
         tau_prime = inverse_dynamics(
             model, JointState(q, motion.qdot, motion.qddot), config.gravity)
-        arms.append((jacobian(model, q), tau_prime, model.torque_limits))
+        jac = jacobian(model, q)
+        arms.append((jac, jac.T @ h_d6, tau_prime, model.torque_limits))
 
     cap = config.unbounded_cap
     count = len(arms)
 
     def build_problems(h_delta6):
         return [CapabilityProblem(
-            jt_hd=jac.T @ h_d6, jt_hdelta=jac.T @ h_delta6,
+            jt_hd=jt_hd, jt_hdelta=jac.T @ h_delta6,
             tau_prime=tau_prime, tau_max=tau_max)
-            for jac, tau_prime, tau_max in arms]
+            for jac, jt_hd, tau_prime, tau_max in arms]
 
     k0 = np.empty(count)
     for a, problem in enumerate(build_problems(np.zeros(6))):

@@ -29,7 +29,8 @@ UNBOUNDED = "unbounded"
 class LinearProgram:
     """maximize objective @ x  s.t.  row_lower <= row_coeffs @ x <= row_upper.
 
-    Bounds may be -inf/+inf; a row with equal finite bounds is an equality.
+    Bounds may be -inf/+inf; a row with equal finite bounds is an equality,
+    and one with row_lower = +inf or row_upper = -inf cannot be satisfied.
     nonnegative[j] False marks variable j as free.
     """
 
@@ -56,11 +57,11 @@ class LinearProgram:
             raise ValueError("objective/nonnegative length must match columns")
         if self.row_lower.shape != (m,) or self.row_upper.shape != (m,):
             raise ValueError("row bound length must match row count")
-        if not np.all(np.isfinite(self.objective)):
+        if not np.isfinite(self.objective).all():
             raise ValueError("objective must be finite")
-        if not np.all(np.isfinite(self.row_coeffs)):
+        if not np.isfinite(self.row_coeffs).all():
             raise ValueError("row coefficients must be finite")
-        if np.any(np.isnan(self.row_lower)) or np.any(np.isnan(self.row_upper)):
+        if np.isnan(self.row_lower).any() or np.isnan(self.row_upper).any():
             raise ValueError("row bounds must not be NaN")
 
 
@@ -75,7 +76,7 @@ def _pivot(T, basis, row, col):
     T[row] = T[row] / T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
     basis[row] = col
 
 
@@ -83,13 +84,13 @@ def _iterate(T, basis, cost):
     """Run simplex iterations for one phase; returns 'optimal'/'unbounded'."""
     for iteration in range(_MAX_ITER):
         reduced = cost[basis] @ T[:, :-1] - cost
-        candidates = (reduced < -_COST_TOL).nonzero()[0]
-        if candidates.size == 0:
+        # Dantzig: the first most negative reduced cost; Bland: the first
+        # negative one
+        col = reduced.argmin()
+        if not reduced[col] < -_COST_TOL:
             return OPTIMAL
-        if iteration < _BLAND_AFTER:
-            col = candidates[int(reduced[candidates].argmin())]
-        else:
-            col = candidates[0]
+        if iteration >= _BLAND_AFTER:
+            col = (reduced < -_COST_TOL).argmax()
         coeffs = T[:, col]
         rows = (coeffs > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
@@ -105,76 +106,54 @@ def _iterate(T, basis, cost):
 def simplex_solve(lp):
     """Solve a LinearProgram; status is optimal, infeasible, or unbounded."""
     n = lp.objective.size
+    lo, up = lp.row_lower, lp.row_upper
+    # crossed bounds, or a side no finite row value can meet
+    if ((lo > up) | (lo == np.inf) | (up == -np.inf)).any():
+        return SimplexResult(INFEASIBLE)
     # split free variables into differences of non-negative parts
-    pos_col = np.arange(n)
-    free = ~lp.nonnegative
-    neg_col = np.full(n, -1)
-    neg_col[free] = n + np.arange(int(free.sum()))
-    n_std = n + int(free.sum())
+    free_at = (~lp.nonnegative).nonzero()[0]
+    n_std = n + free_at.size
+    cost = np.concatenate([lp.objective, -lp.objective[free_at]])
 
-    def widen(vec):
-        wide = np.zeros(n_std)
-        wide[pos_col] = vec
-        wide[neg_col[free]] = -vec[free]
-        return wide
-
-    cost = widen(lp.objective)
-
-    rows = []          # (coeffs in standard vars, rhs, is_equality)
-    for a, lo, up in zip(lp.row_coeffs, lp.row_lower, lp.row_upper):
-        if lo > up:
-            return SimplexResult(INFEASIBLE)
-        wide = widen(a)
-        if np.isfinite(lo) and lo == up:
-            rows.append((wide, lo, True))
-            continue
-        if np.isfinite(up):
-            rows.append((wide, up, False))
-        if np.isfinite(lo):
-            rows.append((-wide, -lo, False))
-    m = len(rows)
+    # each source row gives its upper (or equality) row, then its lower
+    # row, in source order; an infinite side gives none
+    eq = np.isfinite(lo) & (lo == up)
+    expand = np.column_stack([eq | np.isfinite(up),
+                              ~eq & np.isfinite(lo)]).ravel()
+    source, side = np.divmod(expand.nonzero()[0], 2)
+    m = source.size
     if m == 0:
         # only the sign restrictions remain; bounded iff no free/positive gain
         gain = (lp.objective[lp.nonnegative] > _COST_TOL).any() or \
-            (lp.objective[free] != 0.0).any()
+            (lp.objective[free_at] != 0.0).any()
         if gain:
             return SimplexResult(UNBOUNDED)
         x = np.zeros(n)
         return SimplexResult(OPTIMAL, x, 0.0)
 
-    n_slack = sum(1 for _, _, eq in rows if not eq)
-    A = np.zeros((m, n_std + n_slack))
-    b = np.zeros(m)
-    slack_at = n_std
-    slack_cols = np.full(m, -1)
-    for i, (wide, rhs, eq) in enumerate(rows):
-        A[i, :n_std] = wide
-        b[i] = rhs
-        if not eq:
-            A[i, slack_at] = 1.0
-            slack_cols[i] = slack_at
-            slack_at += 1
+    b = np.column_stack([np.where(eq, lo, up), -lo]).ravel()[expand]
     negate = b < 0.0
-    A[negate] *= -1.0
     b[negate] = -b[negate]
-
+    slack = ~eq[source]
+    basis = np.full(m, -1)
+    basis[slack] = n_std + np.arange(int(slack.sum()))
+    n_real = n_std + int(slack.sum())
     # rows whose slack survived sign-normalization start as the basis;
     # all others receive an artificial variable
-    needs_artificial = np.flatnonzero(negate | (slack_cols < 0))
-    n_real = A.shape[1]
+    needs_artificial = np.flatnonzero(negate | ~slack)
+    art_cols = n_real + np.arange(needs_artificial.size)
     T = np.zeros((m, n_real + needs_artificial.size + 1))
-    T[:, :n_real] = A
+    coeffs = lp.row_coeffs[source]
+    T[:, :n] = coeffs
+    T[:, n:n_std] = -coeffs[:, free_at]
+    T[side == 1, :n_std] *= -1.0  # a lower row is its negated upper row
+    T[slack, basis[slack]] = 1.0
+    T[negate, :n_real] *= -1.0
     T[:, -1] = b
-    basis = np.full(m, -1)
-    for i in range(m):
-        if slack_cols[i] >= 0 and not negate[i]:
-            basis[i] = slack_cols[i]
-    art_cost = np.zeros(n_real + needs_artificial.size)
-    for offset, i in enumerate(needs_artificial):
-        col = n_real + offset
-        T[i, col] = 1.0
-        basis[i] = col
-        art_cost[col] = -1.0
+    T[needs_artificial, art_cols] = 1.0
+    basis[needs_artificial] = art_cols
+    art_cost = np.zeros(T.shape[1] - 1)
+    art_cost[n_real:] = -1.0
 
     if needs_artificial.size:
         status = _iterate(T, basis, art_cost)
@@ -183,24 +162,23 @@ def simplex_solve(lp):
             return SimplexResult(INFEASIBLE)
         # pivot lingering artificials out, dropping redundant rows
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n_real:
-                pivots = np.flatnonzero(np.abs(T[i, :n_real]) > _PIVOT_TOL)
-                if pivots.size:
-                    _pivot(T, basis, i, pivots[0])
-                else:
-                    keep[i] = False
+        for i in (basis >= n_real).nonzero()[0]:
+            pivots = np.flatnonzero(np.abs(T[i, :n_real]) > _PIVOT_TOL)
+            if pivots.size:
+                _pivot(T, basis, i, pivots[0])
+            else:
+                keep[i] = False
         T = T[keep][:, list(range(n_real)) + [-1]]
         basis = basis[keep]
 
     full_cost = np.zeros(T.shape[1] - 1)
-    full_cost[:n_std] = cost[:n_std]
+    full_cost[:n_std] = cost
     status = _iterate(T, basis, full_cost)
     if status != OPTIMAL:
         return SimplexResult(UNBOUNDED)
 
     solution = np.zeros(T.shape[1] - 1)
     solution[basis] = T[:, -1]
-    x = solution[pos_col].copy()
-    x[free] -= solution[neg_col[free]]
+    x = solution[:n].copy()
+    x[free_at] -= solution[n:n_std]
     return SimplexResult(OPTIMAL, x, float(lp.objective @ x))

@@ -7,14 +7,21 @@ brute-force vertex enumeration, and capability scalars by feasibility
 bisection.  None of it imports package internals beyond public data types.
 
 The ``reference_*`` kinematics are the package's earlier array formulation,
-frozen verbatim when the step path was rewritten, so the rewrite can be held
-to the same output bits.
+frozen verbatim when the step path was rewritten, and ``reference_simplex_solve``
+and ``reference_group_capability_joint`` are the row-by-row assembly of the
+joint program and its standard form, frozen when both were rewritten as
+whole-array builds; each rewrite is held to the same output bits.
 """
 from itertools import combinations
 
 import numpy as np
 
+from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
+                                   GroupCapability)
+from coopwrench.config import DEFAULT_UNBOUNDED_CAP
 from coopwrench.kinematics import DifferentialIk, JointState
+from coopwrench.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
+                                SimplexResult)
 
 
 def rodrigues(axis, angle):
@@ -270,3 +277,210 @@ def reference_differential_ik(model, state, ee_twist, ee_accel):
     rhs = ee_accel[[0, 2, 4]] - _reference_planar_block(jdot) @ qdot
     qddot, damped_acc = _reference_solve_planar(J3, rhs)
     return DifferentialIk(qdot, qddot, damped_vel or damped_acc)
+
+
+# Frozen copy of the row-by-row assembly of the joint program and of the
+# dense two-phase simplex it is solved with.
+_REFERENCE_PIVOT_TOL = 1e-10
+_REFERENCE_COST_TOL = 1e-9
+_REFERENCE_FEAS_TOL = 1e-8
+_REFERENCE_BLAND_AFTER = 2000
+_REFERENCE_MAX_ITER = 50000
+
+
+def _reference_pivot(T, basis, row, col):
+    T[row] = T[row] / T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def _reference_iterate(T, basis, cost):
+    """Run simplex iterations for one phase; returns 'optimal'/'unbounded'."""
+    for iteration in range(_REFERENCE_MAX_ITER):
+        reduced = cost[basis] @ T[:, :-1] - cost
+        candidates = (reduced < -_REFERENCE_COST_TOL).nonzero()[0]
+        if candidates.size == 0:
+            return OPTIMAL
+        if iteration < _REFERENCE_BLAND_AFTER:
+            col = candidates[int(reduced[candidates].argmin())]
+        else:
+            col = candidates[0]
+        coeffs = T[:, col]
+        rows = (coeffs > _REFERENCE_PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            return UNBOUNDED
+        ratios = np.maximum(T[rows, -1], 0.0) / coeffs[rows]
+        best = ratios.min()
+        ties = rows[(ratios <= best + _REFERENCE_PIVOT_TOL).nonzero()[0]]
+        row = ties[int(basis[ties].argmin())]
+        _reference_pivot(T, basis, row, col)
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
+def reference_simplex_solve(lp):
+    """Solve a LinearProgram; status is optimal, infeasible, or unbounded."""
+    n = lp.objective.size
+    # split free variables into differences of non-negative parts
+    pos_col = np.arange(n)
+    free = ~lp.nonnegative
+    neg_col = np.full(n, -1)
+    neg_col[free] = n + np.arange(int(free.sum()))
+    n_std = n + int(free.sum())
+
+    def widen(vec):
+        wide = np.zeros(n_std)
+        wide[pos_col] = vec
+        wide[neg_col[free]] = -vec[free]
+        return wide
+
+    cost = widen(lp.objective)
+
+    rows = []          # (coeffs in standard vars, rhs, is_equality)
+    for a, lo, up in zip(lp.row_coeffs, lp.row_lower, lp.row_upper):
+        if lo > up:
+            return SimplexResult(INFEASIBLE)
+        wide = widen(a)
+        if np.isfinite(lo) and lo == up:
+            rows.append((wide, lo, True))
+            continue
+        if np.isfinite(up):
+            rows.append((wide, up, False))
+        if np.isfinite(lo):
+            rows.append((-wide, -lo, False))
+    m = len(rows)
+    if m == 0:
+        # only the sign restrictions remain; bounded iff no free/positive gain
+        gain = (lp.objective[lp.nonnegative] > _REFERENCE_COST_TOL).any() or \
+            (lp.objective[free] != 0.0).any()
+        if gain:
+            return SimplexResult(UNBOUNDED)
+        x = np.zeros(n)
+        return SimplexResult(OPTIMAL, x, 0.0)
+
+    n_slack = sum(1 for _, _, eq in rows if not eq)
+    A = np.zeros((m, n_std + n_slack))
+    b = np.zeros(m)
+    slack_at = n_std
+    slack_cols = np.full(m, -1)
+    for i, (wide, rhs, eq) in enumerate(rows):
+        A[i, :n_std] = wide
+        b[i] = rhs
+        if not eq:
+            A[i, slack_at] = 1.0
+            slack_cols[i] = slack_at
+            slack_at += 1
+    negate = b < 0.0
+    A[negate] *= -1.0
+    b[negate] = -b[negate]
+
+    # rows whose slack survived sign-normalization start as the basis;
+    # all others receive an artificial variable
+    needs_artificial = np.flatnonzero(negate | (slack_cols < 0))
+    n_real = A.shape[1]
+    T = np.zeros((m, n_real + needs_artificial.size + 1))
+    T[:, :n_real] = A
+    T[:, -1] = b
+    basis = np.full(m, -1)
+    for i in range(m):
+        if slack_cols[i] >= 0 and not negate[i]:
+            basis[i] = slack_cols[i]
+    art_cost = np.zeros(n_real + needs_artificial.size)
+    for offset, i in enumerate(needs_artificial):
+        col = n_real + offset
+        T[i, col] = 1.0
+        basis[i] = col
+        art_cost[col] = -1.0
+
+    if needs_artificial.size:
+        status = _reference_iterate(T, basis, art_cost)
+        assert status == OPTIMAL  # phase-1 objective is bounded by zero
+        if art_cost[basis] @ T[:, -1] < -_REFERENCE_FEAS_TOL:
+            return SimplexResult(INFEASIBLE)
+        # pivot lingering artificials out, dropping redundant rows
+        keep = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] >= n_real:
+                pivots = np.flatnonzero(np.abs(T[i, :n_real]) > _REFERENCE_PIVOT_TOL)
+                if pivots.size:
+                    _reference_pivot(T, basis, i, pivots[0])
+                else:
+                    keep[i] = False
+        T = T[keep][:, list(range(n_real)) + [-1]]
+        basis = basis[keep]
+
+    full_cost = np.zeros(T.shape[1] - 1)
+    full_cost[:n_std] = cost[:n_std]
+    status = _reference_iterate(T, basis, full_cost)
+    if status != OPTIMAL:
+        return SimplexResult(UNBOUNDED)
+
+    solution = np.zeros(T.shape[1] - 1)
+    solution[basis] = T[:, -1]
+    x = solution[pos_col].copy()
+    x[free] -= solution[neg_col[free]]
+    return SimplexResult(OPTIMAL, x, float(lp.objective @ x))
+
+
+def _reference_check_cap(unbounded_cap):
+    if not 0.0 < unbounded_cap < np.inf:
+        raise ValueError("unbounded_cap must be positive and finite, "
+                         f"got {unbounded_cap!r}")
+
+
+def reference_group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
+    """Group capability co-optimizing the compensation split.
+
+    Decision variables are every manipulator's scale k_i >= 0 and free
+    shares alpha_i summing to 1; the objective is the summed scale.  Each
+    joint contributes a two-sided torque row.  Explicit caps keep otherwise
+    unbounded scales at the documented ceiling instead of an unbounded
+    verdict.
+    """
+    _reference_check_cap(unbounded_cap)
+    count = len(problems)
+    n_vars = 2 * count
+    rows = []
+    lowers = []
+    uppers = []
+    for i, problem in enumerate(problems):
+        for j in range(problem.joint_count):
+            row = np.zeros(n_vars)
+            row[i] = problem.jt_hd[j]
+            row[count + i] = problem.jt_hdelta[j]
+            rows.append(row)
+            lowers.append(-problem.tau_max[j] - problem.tau_prime[j])
+            uppers.append(problem.tau_max[j] - problem.tau_prime[j])
+    share_row = np.zeros(n_vars)
+    share_row[count:] = 1.0
+    rows.append(share_row)
+    lowers.append(1.0)
+    uppers.append(1.0)
+    for i in range(count):
+        cap_row = np.zeros(n_vars)
+        cap_row[i] = 1.0
+        rows.append(cap_row)
+        lowers.append(-np.inf)
+        uppers.append(float(unbounded_cap))
+    objective = np.zeros(n_vars)
+    objective[:count] = 1.0
+    nonneg = np.zeros(n_vars, dtype=bool)
+    nonneg[:count] = True
+
+    result = reference_simplex_solve(LinearProgram(
+        objective=objective,
+        row_coeffs=np.array(rows),
+        row_lower=np.array(lowers),
+        row_upper=np.array(uppers),
+        nonnegative=nonneg,
+    ))
+    if result.status == INFEASIBLE:
+        return GroupCapability(np.zeros(count), None,
+                               frozenset({FLAG_INFEASIBLE}))
+    if result.status != OPTIMAL:
+        raise RuntimeError("joint capability program unexpectedly unbounded")
+    k = result.x[:count].copy()
+    capped = np.any(k >= unbounded_cap * (1.0 - 1e-9))
+    return GroupCapability(k, result.x[count:].copy(),
+                           frozenset({FLAG_UNBOUNDED} if capped else ()))

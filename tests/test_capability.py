@@ -1,15 +1,23 @@
-"""Capability solves checked against bisection and grid-search oracles."""
+"""Capability solves checked against bisection and grid-search oracles.
+
+The joint solve is also held bit for bit to its frozen row-by-row
+predecessor, ``oracles.reference_group_capability_joint``.
+"""
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from coopwrench import (CapabilityProblem, ScenarioValidationError,
-                        capability_scalar, feasible_wrench_check,
-                        group_capability, group_capability_joint)
+                        asymmetric_scenario, capability_scalar,
+                        feasible_wrench_check, group_capability,
+                        group_capability_joint, reference_scenario,
+                        run_scenario)
+from coopwrench import runner
 from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
                                    DEFAULT_UNBOUNDED_CAP)
-from oracles import bisect_capability
+from oracles import bisect_capability, reference_group_capability_joint
 
 
 def random_problem(rng, n=None, zero_fraction=0.15):
@@ -395,3 +403,64 @@ def test_cap_must_be_positive_and_finite(cap):
                                                  unbounded_cap=cap)):
         with pytest.raises(ValueError, match="unbounded_cap"):
             solve()
+
+
+def assert_same_group_capability(actual, expected):
+    """Equal flags, and k and alpha equal in value and sign bit."""
+    assert actual.flags == expected.flags
+    for name in ("k", "alpha"):
+        value, frozen = getattr(actual, name), getattr(expected, name)
+        if frozen is None:
+            assert value is None
+            continue
+        assert np.array_equal(value, frozen)
+        assert np.array_equal(np.signbit(value), np.signbit(frozen))
+
+
+def test_joint_matches_frozen_reference_on_random_groups():
+    """Arms of unequal joint counts, some overloaded, some uncapped."""
+    rng = np.random.default_rng(62)
+    flags = set()
+    for _ in range(400):
+        problems = []
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(1, 5))
+            tau_max = rng.uniform(0.5, 2.0, n).round(2)
+            problems.append(CapabilityProblem(
+                jt_hd=np.where(rng.random(n) < 0.3, 0.0,
+                               rng.normal(size=n).round(2)),
+                jt_hdelta=rng.normal(size=n).round(2) * 0.4,
+                tau_prime=rng.uniform(-1.2, 1.2, n).round(2) * tau_max,
+                tau_max=tau_max))
+        cap = float(rng.choice([DEFAULT_UNBOUNDED_CAP, 3.0]))
+        result = group_capability_joint(problems, unbounded_cap=cap)
+        assert_same_group_capability(result, reference_group_capability_joint(
+            problems, unbounded_cap=cap))
+        flags |= result.flags or {None}
+    assert flags == {None, FLAG_INFEASIBLE, FLAG_UNBOUNDED}
+
+
+@pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
+def test_joint_matches_frozen_reference_along_built_in_paths(scenario,
+                                                             monkeypatch):
+    """Every joint solve of one refined joint-mode cycle.
+
+    Equal scales and shares are the program's whole solution x, so its
+    status and objective agree as well.
+    """
+    solves = []
+
+    def checked_joint(problems, **kwargs):
+        result = solve_joint(problems, **kwargs)
+        assert_same_group_capability(
+            result, reference_group_capability_joint(problems, **kwargs))
+        solves.append(result)
+        return result
+
+    solve_joint = runner.group_capability_joint
+    monkeypatch.setattr(runner, "group_capability_joint", checked_joint)
+    config = dataclasses.replace(scenario(), mode="improved-joint", cycles=1,
+                                 beta_iterations=2)
+    run_scenario(config)
+    assert len(solves) > config.step_count
+    assert not any(FLAG_INFEASIBLE in solve.flags for solve in solves)

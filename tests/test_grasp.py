@@ -100,6 +100,12 @@ def test_allocate_proportional_rejects_zero_and_negative():
         allocate_proportional([1.0, -0.5])
 
 
+@pytest.mark.parametrize("capabilities", [[np.nan, 1.0], [np.inf, 1.0]])
+def test_allocate_proportional_rejects_non_finite(capabilities):
+    with pytest.raises(ValueError, match="capabilities"):
+        allocate_proportional(capabilities)
+
+
 def test_allocation_weights_validation():
     with pytest.raises(ScenarioValidationError, match="sum to 1"):
         AllocationWeights([0.5, 0.4])
@@ -142,6 +148,31 @@ def test_counterbalance_linear_in_force():
     one, _ = counterbalance_moment(weights, gm, f)
     two, _ = counterbalance_moment(weights, gm, 2.0 * f)
     np.testing.assert_allclose(two, 2.0 * one, atol=1e-15)
+
+
+@pytest.mark.parametrize("force", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+                                   [[1.0], [2.0], [3.0]]])
+def test_counterbalance_rejects_force_not_a_3_vector(force):
+    gm = GraspMap.from_vectors([[0.2, 0.0, 0.0], [-0.1, 0.0, 0.1]])
+    with pytest.raises(ValueError, match="object_force"):
+        counterbalance_moment(AllocationWeights([0.3, 0.7]), gm, force)
+
+
+def test_counterbalance_matches_numpy_cross_bit_for_bit():
+    rng = np.random.default_rng(36)
+    for _ in range(500):
+        count = int(rng.integers(1, 5))
+        gm = GraspMap.from_vectors(rng.uniform(-0.3, 0.3, (count, 3)))
+        beta = rng.uniform(0.05, 1.0, count)
+        weights = AllocationWeights(beta / beta.sum())
+        force = rng.normal(size=3) * 20.0
+        force[rng.random(3) < 0.3] = 0.0
+        induced, h_delta = counterbalance_moment(weights, gm, force)
+        expected = np.cross(weights.beta @ gm.grasp_vectors, force)
+        assert np.array_equal(induced, expected)
+        assert np.array_equal(np.signbit(induced), np.signbit(expected))
+        assert np.array_equal(np.signbit(h_delta.torque),
+                              np.signbit(-expected))
 
 
 def test_closed_loop_wrench_balance():

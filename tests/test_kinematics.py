@@ -313,3 +313,16 @@ def test_joint_count_mismatch_is_rejected(length):
         jacobian(arm, np.zeros(length))
     with pytest.raises(ValueError):
         joint_positions(arm, np.zeros(length))
+
+
+def test_joint_state_defaults_are_read_only_zeros():
+    state = JointState([0.1, -0.2, 0.3])
+    for value in (state.qdot, state.qddot):
+        assert_same_bits(value, np.zeros(3))
+        assert not value.flags.writeable
+    assert state.qdot is not state.qddot
+    given = JointState([0.1, -0.2], qdot=[1.0, 2.0])
+    np.testing.assert_array_equal(given.qdot, [1.0, 2.0])
+    assert not given.qdot.flags.writeable
+    with pytest.raises(ScenarioValidationError, match="qddot"):
+        JointState([0.1, -0.2], qddot=[np.nan, 0.0])
