@@ -320,7 +320,6 @@ def test_joint_state_defaults_are_read_only_zeros():
     for value in (state.qdot, state.qddot):
         assert_same_bits(value, np.zeros(3))
         assert not value.flags.writeable
-    assert state.qdot is not state.qddot
     given = JointState([0.1, -0.2], qdot=[1.0, 2.0])
     np.testing.assert_array_equal(given.qdot, [1.0, 2.0])
     assert not given.qdot.flags.writeable

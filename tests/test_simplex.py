@@ -1,11 +1,13 @@
 """Simplex solver checks against a brute-force vertex-enumeration oracle.
 
-The solver is also held bit for bit to its frozen row-by-row predecessor,
-``oracles.reference_simplex_solve``.  The vertex oracle converts each program to pure inequality form D x <= d (upper
+The oracle converts each program to pure inequality form D x <= d (upper
 rows, negated lower rows, sign rows for non-negative variables), solves
 every n-subset of rows for a candidate vertex, keeps the feasible ones, and
 takes the best objective.  Test programs embed box rows so the feasible set
 is a bounded polytope with all optima at vertices.
+
+The solver is also held bit for bit to its frozen row-by-row predecessor,
+``oracles.reference_simplex_solve``.
 """
 import numpy as np
 import pytest
