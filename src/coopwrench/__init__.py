@@ -27,7 +27,7 @@ from .kinematics import (JointState, Pose, differential_ik,
                          ee_pose_from_object, forward_kinematics, ik_planar3r,
                          jacobian, joint_positions, planar_angle,
                          planar_rotation)
-from .runner import (ExportError, RunResult, RunSummary, TrajectoryError,
+from .runner import (ExportError, RunResult, TrajectoryError,
                      emit_plot_data, evaluate_trajectory, export, result_dict,
                      run_scenario, summarize, time_grid)
 from .simplex import LinearProgram, SimplexResult, simplex_solve
@@ -40,7 +40,7 @@ __all__ = [
     "FLAG_VELOCITY", "GraspMap", "GroupCapability", "JointState",
     "LinearProgram",
     "ManipulatorModel", "MODES", "ObjectState", "Pose", "RigidObjectModel",
-    "RunResult", "RunSummary", "ScenarioConfig", "ScenarioError",
+    "RunResult", "ScenarioConfig", "ScenarioError",
     "ScenarioSyntaxError", "ScenarioValidationError", "SCHEMA_VERSION",
     "SimplexResult", "TrajectoryError", "TrajectorySpec", "Wrench",
     "ZeroCapabilityError", "allocate_proportional", "asymmetric_scenario",

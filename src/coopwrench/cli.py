@@ -6,6 +6,7 @@ runtime aborts (unreachable trajectory, export failure).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -53,14 +54,16 @@ def _load_config(path):
 
 
 def _cmd_run(args):
+    # one replace, so the grid cap checks the grid the flags give together
+    overrides = {key: getattr(args, key) for key in ("mode", "dt", "cycles")
+                 if getattr(args, key) is not None}
     try:
-        config = _load_config(args.config)
+        config = dataclasses.replace(_load_config(args.config), **overrides)
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        result = run_scenario(config, mode=args.mode, dt=args.dt,
-                              cycles=args.cycles)
+        result = run_scenario(config)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -76,15 +79,15 @@ def _cmd_run(args):
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     summary = result.summary
-    print(f"samples: {summary.sample_count}  flagged: {summary.flagged_steps}")
-    if summary.k0_mean is not None:
-        print(f"K0 min/mean/max: {summary.k0_min:.6g} / "
-              f"{summary.k0_mean:.6g} / {summary.k0_max:.6g}")
-    if summary.k1_mean is not None:
-        print(f"K1 min/mean/max: {summary.k1_min:.6g} / "
-              f"{summary.k1_mean:.6g} / {summary.k1_max:.6g}")
-    if summary.improvement_percent is not None:
-        print(f"mean improvement: {summary.improvement_percent:.4g}%")
+    print(f"samples: {summary['sample_count']}  "
+          f"flagged: {summary['flagged_steps']}")
+    for name in ("K0", "K1"):
+        series = summary[name]
+        if series is not None:
+            print(f"{name} min/mean/max: {series['min']:.6g} / "
+                  f"{series['mean']:.6g} / {series['max']:.6g}")
+    if summary["improvement_percent"] is not None:
+        print(f"mean improvement: {summary['improvement_percent']:.4g}%")
     print(f"results written to {args.out}")
     return EXIT_OK
 

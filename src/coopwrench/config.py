@@ -8,7 +8,7 @@ built-in texts below double as annotated examples.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
@@ -63,8 +63,12 @@ def _freeze(values, shape, name):
 
 
 def _real(value):
-    """value as a float if it is a real number, else NaN (fails range checks)."""
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    """value as a float if it is a real number, else NaN (fails range checks).
+
+    A bool is not a number here, as it is not in a scenario file.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
         return math.nan
     try:
         return float(value)
@@ -74,8 +78,8 @@ def _real(value):
 
 def _whole(value):
     """Whether value is an integral real number (ints beyond float range too)."""
-    return isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    return _real(value).is_integer() or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def _set(obj, name, value):
@@ -146,7 +150,15 @@ class ManipulatorModel:
     approximate: bool = False
 
     def __post_init__(self):
+        if not _whole(self.id):
+            raise ScenarioValidationError(
+                f"manipulator id must be an integer, got {self.id!r}")
+        _set(self, "id", int(self.id))
         arm = f"manipulator {self.id}"
+        if not isinstance(self.approximate, bool):
+            raise ScenarioValidationError(
+                f"{arm}: approximate must be a boolean, "
+                f"got {self.approximate!r}")
         n = _freeze(self.link_lengths, None, f"{arm}: link_lengths").size
         if n < 2:
             raise ScenarioValidationError(f"{arm}: joint count must be at least 2")
@@ -320,12 +332,6 @@ class ScenarioConfig:
         """Steps on the time grid: cycles * period / dt, rounded."""
         return round(self.cycles * self.trajectory.period() / self.dt)
 
-    def with_overrides(self, mode=None, dt=None, cycles=None):
-        """A copy with the overrides applied together (None keeps the field)."""
-        overrides = {"mode": mode, "dt": dt, "cycles": cycles}
-        return replace(self, **{key: value for key, value in overrides.items()
-                                if value is not None})
-
 
 # The scenario file schema: the keys of each section in file order.  Every
 # key is a field of the section's dataclass (besides schema_version and the
@@ -455,12 +461,16 @@ def parse_scenario(text):
 
 
 def _plain(model, keys):
-    """The keys of a model as plain data: arrays become lists, None is left out."""
+    """The keys of a model as plain data; None is left out.
+
+    numpy arrays become lists, and numpy scalars Python numbers.
+    """
     doc = {}
     for key in keys:
         value = getattr(model, key)
         if value is not None:
-            doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+            doc[key] = value.tolist() if isinstance(
+                value, (np.ndarray, np.generic)) else value
     return doc
 
 

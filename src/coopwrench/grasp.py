@@ -44,7 +44,8 @@ class GraspMap:
 
     ``grasp_vectors`` are the CoM-to-grasp-point offsets in the world; the
     object does not rotate, so they equal its body-frame grasp points.
-    ``grasp_matrix`` maps each one to its transmission matrix.
+    The module function ``grasp_matrix`` maps each one to its transmission
+    matrix.
     """
 
     grasp_vectors: np.ndarray

@@ -141,8 +141,8 @@ def ik_planar3r(model, target):
 
     The end-effector planar angle fixes the last joint once the first two are
     known, so the wrist point (end effector minus the last link) reduces the
-    problem to a two-link reach with elbow sign ambiguity.  Returns 0, 1, or
-    2 joint states; exactly 1 at the straight-arm boundary.
+    problem to a two-link reach with elbow sign ambiguity.  Returns a list of
+    0, 1, or 2 joint-angle arrays; exactly 1 at the straight-arm boundary.
     """
     if model.joint_count != 3:
         raise ValueError("ik_planar3r requires a 3-joint model")
@@ -169,8 +169,8 @@ def ik_planar3r(model, target):
         q3 = pitch - q1 - q2
         solutions.append(np.array([q1, q2, q3]))
     if np.abs(solutions[0] - solutions[1]).max() < 1e-10:
-        solutions = solutions[:1]
-    return [JointState(q) for q in solutions]
+        return solutions[:1]
+    return solutions
 
 
 class DifferentialIk(NamedTuple):

@@ -29,8 +29,6 @@ from .kinematics import (JointState, differential_ik, ee_pose_from_object,
 
 _BETA_TOL = 1e-6
 
-CSV_FIXED_COLUMNS = ("t", "K0", "K1", "tdelta_y", "flags")
-
 
 class TrajectoryError(RuntimeError):
     """A step of the trajectory cannot be realized; aborts the run."""
@@ -76,18 +74,12 @@ def _wrap_angle(delta):
 def _select_branch(model, solutions, previous, object_position):
     """Pick an IK branch: continuity, or elbow-out at the first step."""
     if previous is None:
-        def score(state):
-            elbow = joint_positions(model, state.q)[1]
+        def score(q):
+            elbow = joint_positions(model, q)[1]
             return -float(np.linalg.norm(elbow - object_position))
-        return min(solutions, key=score).q
-    best = None
-    best_dist = np.inf
-    for state in solutions:
-        adjusted = previous + _wrap_angle(state.q - previous)
-        dist = float(np.linalg.norm(adjusted - previous))
-        if dist < best_dist:
-            best, best_dist = adjusted, dist
-    return best
+        return min(solutions, key=score)
+    wrapped = [previous + _wrap_angle(q - previous) for q in solutions]
+    return min(wrapped, key=lambda q: float(np.linalg.norm(q - previous)))
 
 
 def _solve_ik_paths(config, states):
@@ -187,49 +179,20 @@ def _step_sample(config, grasp_map, state, t, joints):
         flags=step_flags | improved.flags)
 
 
-@dataclass(frozen=True, eq=False)
-class RunSummary:
-    """Aggregates of the capability series; recomputable from the samples."""
-
-    sample_count: int
-    flagged_steps: int
-    k0_min: float | None = None
-    k0_mean: float | None = None
-    k0_max: float | None = None
-    k1_min: float | None = None
-    k1_mean: float | None = None
-    k1_max: float | None = None
-    improvement_percent: float | None = None
-
-    def to_dict(self):
-        return {
-            "sample_count": self.sample_count,
-            "flagged_steps": self.flagged_steps,
-            "K0": None if self.k0_min is None else {
-                "min": self.k0_min, "mean": self.k0_mean, "max": self.k0_max},
-            "K1": None if self.k1_min is None else {
-                "min": self.k1_min, "mean": self.k1_mean, "max": self.k1_max},
-            "improvement_percent": self.improvement_percent,
-        }
-
-
 def summarize(samples):
-    """Min/mean/max of each capability series plus flag counts."""
-    flagged = sum(1 for s in samples if s.flags)
-    if not samples:
-        return RunSummary(sample_count=0, flagged_steps=0)
-    k0 = [s.K0 for s in samples]
-    k1 = [s.K1 for s in samples if s.K1 is not None]
-    fields = {"k0_min": min(k0), "k0_mean": sum(k0) / len(k0),
-              "k0_max": max(k0)}
-    if k1:
-        fields.update(k1_min=min(k1), k1_mean=sum(k1) / len(k1),
-                      k1_max=max(k1))
-    if k1 and fields["k0_mean"] != 0.0:
-        fields["improvement_percent"] = 100.0 * (
-            fields["k1_mean"] - fields["k0_mean"]) / fields["k0_mean"]
-    return RunSummary(sample_count=len(samples), flagged_steps=flagged,
-                      **fields)
+    """The run's summary document, as result.json holds it (None: no data)."""
+    def stats(series):
+        return {"min": min(series), "mean": sum(series) / len(series),
+                "max": max(series)} if series else None
+
+    k0 = stats([s.K0 for s in samples])
+    k1 = stats([s.K1 for s in samples if s.K1 is not None])
+    improvement = None
+    if k1 is not None and k0["mean"] != 0.0:
+        improvement = 100.0 * (k1["mean"] - k0["mean"]) / k0["mean"]
+    return {"sample_count": len(samples),
+            "flagged_steps": sum(1 for s in samples if s.flags),
+            "K0": k0, "K1": k1, "improvement_percent": improvement}
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,15 +201,11 @@ class RunResult:
 
     config: object
     samples: tuple
-    summary: RunSummary
+    summary: dict
 
 
-def run_scenario(config, mode=None, dt=None, cycles=None):
-    """Evaluate a scenario over its whole time grid, one step after another.
-
-    mode/dt/cycles override the config when given.
-    """
-    config = config.with_overrides(mode=mode, dt=dt, cycles=cycles)
+def run_scenario(config):
+    """Evaluate a scenario over its whole time grid, one step after another."""
     times = time_grid(config)
     states = [evaluate_trajectory(config.trajectory, t) for t in times]
     ik_paths = _solve_ik_paths(config, states)
@@ -287,6 +246,14 @@ def _sample_row(sample, count):
     return row
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ExportError(f"cannot write {path}: {exc}") from exc
+
+
 def export(result, fmt, path):
     """Write a RunResult as 'csv' (series table) or 'json' (full mirror)."""
     if fmt == "csv":
@@ -299,11 +266,7 @@ def export(result, fmt, path):
         payload += "\n"
     else:
         raise ValueError(f"unsupported export format {fmt!r}")
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write(payload)
-    except OSError as exc:
-        raise ExportError(f"cannot write {path}: {exc}") from exc
+    _write(path, payload)
 
 
 def result_dict(result):
@@ -324,7 +287,7 @@ def result_dict(result):
             }
             for s in result.samples
         ],
-        "summary": result.summary.to_dict(),
+        "summary": result.summary,
     }
 
 
@@ -347,8 +310,4 @@ def emit_plot_data(result, path):
         t0 = t1 = 0.0
     lines.append(f"{_fmt(t0)} 1")
     lines.append(f"{_fmt(t1)} 1")
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ExportError(f"cannot write {path}: {exc}") from exc
+    _write(path, "\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 """Command-line entry points, exit codes, and output files."""
+import dataclasses
 import json
 import math
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from coopwrench import runner
+from coopwrench import cli, runner
 from coopwrench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from coopwrench.config import (ASYMMETRIC_SCENARIO_TEXT,
                                REFERENCE_SCENARIO_TEXT, ScenarioError,
@@ -199,6 +200,71 @@ def test_run_oversized_grid_exits_before_allocating(tmp_path, capsys,
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "dt/cycles give 10000000000 time steps" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_overrides_touch_only_requested_fields(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return runner.run_scenario(config)
+
+    monkeypatch.setattr(cli, "run_scenario", capture)
+    text = REFERENCE_SCENARIO_TEXT.replace("dt: 0.01", "dt: 0.5").replace(
+        "cycles: 2", "cycles: 1")
+    path = write_scenario(tmp_path, text)
+    for flags in ([], ["--mode", "baseline"], ["--dt", "0.25"],
+                  ["--cycles", "2"],
+                  ["--mode", "improved-joint", "--dt", "1.0", "--cycles", "2"]):
+        assert main(["run", "--config", str(path), *flags,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [(c.mode, c.dt, c.cycles) for c in seen] == [
+        ("both", 0.5, 1), ("baseline", 0.5, 1), ("both", 0.25, 1),
+        ("both", 0.5, 2), ("improved-joint", 1.0, 2)]
+    # every field no flag names keeps the scenario's value
+    scenario = scenario_dict(parse_scenario(text))
+    for config in seen:
+        assert scenario_dict(dataclasses.replace(
+            config, mode="both", dt=0.5, cycles=1)) == scenario
+
+
+class Captured(Exception):
+    """Stops a CLI run at run_scenario, once its config is recorded."""
+
+
+@pytest.mark.parametrize("dt, steps", [("6e-5", 83333), ("1e-4", 50000)])
+def test_run_overrides_are_checked_together(tmp_path, monkeypatch, dt,
+                                            steps):
+    # 2 cycles at this dt exceed the grid cap, the requested single cycle
+    # does not: the flags must reach the config in one step
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise Captured
+
+    monkeypatch.setattr(cli, "run_scenario", stop)
+    path = write_scenario(tmp_path)
+    with pytest.raises(Captured):
+        main(["run", "--config", str(path), "--dt", dt, "--cycles", "1",
+              "--out", str(tmp_path / "x")])
+    assert [(c.dt, c.cycles, c.step_count) for c in seen] == [
+        (float(dt), 1, steps)]
+
+
+def test_run_oversized_grid_never_reaches_the_runner(tmp_path, capsys,
+                                                     monkeypatch):
+    def refuse(config):
+        raise AssertionError("run_scenario must not be called")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    path = write_scenario(tmp_path)
+    for flags, steps in ((["--dt", "1e-9"], 10000000000),
+                         (["--dt", "6e-5"], 166667)):
+        assert main(["run", "--config", str(path), *flags,
+                     "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+        assert f"dt/cycles give {steps} time steps" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

@@ -207,6 +207,38 @@ def test_boolean_cycles_rejected():
         reparse(doc)
 
 
+@pytest.mark.parametrize("change, pattern", [
+    ({"id": "one"}, "manipulator id must be an integer, got 'one'"),
+    ({"id": True}, "manipulator id must be an integer, got True"),
+    ({"id": 1.5}, "manipulator id must be an integer, got 1.5"),
+    ({"approximate": "no"},
+     "manipulator 1: approximate must be a boolean, got 'no'"),
+    ({"approximate": 1}, "manipulator 1: approximate must be a boolean"),
+])
+def test_arm_built_in_code_checks_id_and_approximate(change, pattern):
+    # a config built in code must hold only what a scenario file can, so
+    # that parse(serialize(c)) == c holds for it too
+    arm = reference_scenario().manipulators[0]
+    with pytest.raises(ScenarioValidationError, match=pattern):
+        dataclasses.replace(arm, **change)
+
+
+def test_config_built_in_code_round_trips():
+    config = reference_scenario()
+    arms = tuple(dataclasses.replace(arm, id=value, approximate=False)
+                 for arm, value in zip(config.manipulators,
+                                       (np.int64(7), 8.0, 9, 10)))
+    built = dataclasses.replace(config, manipulators=arms, cycles=np.int64(1),
+                                beta_iterations=2.0, mode="improved-joint",
+                                dt=np.float64(0.05), gravity=np.float32(9.5))
+    assert [type(arm.id) for arm in built.manipulators] == [int] * 4
+    assert type(built.cycles) is int and type(built.beta_iterations) is int
+    again = parse_scenario(serialize_scenario(built))
+    assert scenario_dict(again) == scenario_dict(built)
+    assert [arm.id for arm in again.manipulators] == [7, 8, 9, 10]
+    assert (again.dt, again.gravity) == (0.05, 9.5)
+
+
 @pytest.mark.parametrize("section,key,value", [
     (None, "dt", math.nan),
     (None, "gravity", math.nan),
@@ -248,9 +280,22 @@ def test_non_finite_number_rejected_at_parse_time(section, key, value):
      "gravity"),
     (lambda: dataclasses.replace(reference_scenario(), unbounded_cap=None),
      "unbounded_cap"),
+    # a bool is no number in code either, as it is not in a scenario file
+    (lambda: TrajectorySpec(kind="circle", radius=True,
+                            angular_rate=1.0), "radius"),
+    (lambda: TrajectorySpec(kind="circle", radius=0.1,
+                            angular_rate=True), "angular_rate"),
+    (lambda: RigidObjectModel(mass=True, inertia=np.eye(3),
+                              grasp_points=[[0.1, 0.0, 0.0]]), "mass"),
+    (lambda: dataclasses.replace(reference_scenario(), dt=True), "dt"),
+    (lambda: dataclasses.replace(reference_scenario(), gravity=False),
+     "gravity"),
+    (lambda: dataclasses.replace(reference_scenario(), unbounded_cap=True),
+     "unbounded_cap"),
 ], ids=["rate-nan", "rate-inf", "radius-nan", "radius-inf", "mass-nan",
         "mass-inf", "gravity-nan", "radius-text", "rate-text", "mass-text",
-        "dt-text", "gravity-text", "cap-none"])
+        "dt-text", "gravity-text", "cap-none", "radius-bool", "rate-bool",
+        "mass-bool", "dt-bool", "gravity-bool", "cap-bool"])
 def test_non_finite_model_value_rejected_by_the_dataclass(build, field):
     with pytest.raises(ScenarioValidationError,
                        match=f"{field} must be .*finite"):
@@ -259,7 +304,8 @@ def test_non_finite_model_value_rejected_by_the_dataclass(build, field):
 
 @pytest.mark.parametrize("field, value", [
     ("cycles", None), ("cycles", math.inf), ("cycles", math.nan),
-    ("cycles", "2"), ("beta_iterations", None), ("beta_iterations", math.inf),
+    ("cycles", "2"), ("cycles", True), ("beta_iterations", None),
+    ("beta_iterations", math.inf), ("beta_iterations", True),
 ])
 def test_non_integer_count_rejected_by_the_dataclass(field, value):
     with pytest.raises(ScenarioValidationError, match=f"{field} must be"):
@@ -343,20 +389,6 @@ def test_wrench_vector_round_trip():
         Wrench.from_vector([1.0, 2.0, 3.0])
 
 
-def test_with_overrides_touches_only_requested_fields():
-    config = reference_scenario()
-    derived = config.with_overrides(mode="improved-joint", dt=0.05, cycles=1)
-    assert derived.mode == "improved-joint"
-    assert derived.dt == 0.05
-    assert derived.cycles == 1
-    assert derived.gravity == config.gravity
-    assert derived.object is config.object
-    assert config.mode == "both" and config.dt == 0.01
-    assert config.with_overrides().mode == "both"
-    with pytest.raises(ScenarioValidationError, match="mode"):
-        config.with_overrides(mode="joint")
-
-
 def test_config_is_frozen_and_arrays_read_only():
     config = reference_scenario()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -416,7 +448,7 @@ def test_grid_size_is_capped():
     assert config.step_count == 1000
     with pytest.raises(ScenarioValidationError,
                        match=r"dt/cycles give 10000000000 time steps"):
-        config.with_overrides(dt=1e-9)
+        dataclasses.replace(config, dt=1e-9)
     doc = scenario_dict(config)
     doc["dt"] = 1e-9
     with pytest.raises(ScenarioValidationError, match="dt/cycles"):
@@ -425,10 +457,6 @@ def test_grid_size_is_capped():
     doc["trajectory"]["angular_rate"] = 5e-324  # an infinite period
     with pytest.raises(ScenarioValidationError, match="inf time steps"):
         reparse(doc)
-    # overrides are checked together: 2 cycles at this dt exceed the cap,
-    # the requested single cycle does not
-    assert config.with_overrides(dt=6e-5, cycles=1).step_count == 83333
-    assert config.with_overrides(dt=1e-4, cycles=1).step_count == 50000
 
 
 @pytest.mark.parametrize("key, message", [

@@ -144,7 +144,7 @@ def test_ik_roundtrip_contains_original():
         target = forward_kinematics(arm, JointState(q))
         solutions = ik_planar3r(arm, target)
         assert solutions, f"no IK solution for its own FK pose, q={q}"
-        best = min(np.max(np.abs(s.q - q)) for s in solutions)
+        best = min(np.max(np.abs(s - q)) for s in solutions)
         # wrapped angles may differ by 2*pi; compare through FK instead
         for s in solutions:
             pose = forward_kinematics(arm, s)
@@ -161,7 +161,7 @@ def test_ik_full_extension_single_solution():
     target = forward_kinematics(arm, JointState(np.zeros(3)))
     solutions = ik_planar3r(arm, target)
     assert len(solutions) == 1
-    np.testing.assert_allclose(solutions[0].q, np.zeros(3), atol=1e-9)
+    np.testing.assert_allclose(solutions[0], np.zeros(3), atol=1e-9)
 
 
 def test_ik_unreachable_targets():
@@ -177,7 +177,7 @@ def test_ik_two_elbow_branches():
     target = forward_kinematics(arm, JointState([0.3, -0.8, 0.2]))
     solutions = ik_planar3r(arm, target)
     assert len(solutions) == 2
-    elbows = sorted(s.q[1] for s in solutions)
+    elbows = sorted(s[1] for s in solutions)
     assert elbows[0] < 0.0 < elbows[1]
 
 
@@ -215,7 +215,7 @@ def test_differential_ik_matches_trajectory_differencing():
         target = ee_pose_from_object(state, grasp)
         solutions = ik_planar3r(arm, target)
         assert solutions
-        return min(solutions, key=lambda s: np.linalg.norm(s.q - near)).q
+        return min(solutions, key=lambda s: np.linalg.norm(s - near))
 
     t0 = 0.25
     state = evaluate_trajectory(cfg.trajectory, t0)

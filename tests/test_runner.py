@@ -17,19 +17,20 @@ from coopwrench.runner import emit_plot_data, result_dict
 
 @pytest.fixture(scope="module")
 def short_both():
-    return run_scenario(reference_scenario(), dt=0.05, cycles=1)
+    return run_scenario(dataclasses.replace(reference_scenario(), dt=0.05,
+                                            cycles=1))
 
 
 @pytest.fixture(scope="module")
 def short_baseline():
-    return run_scenario(reference_scenario(), mode="baseline", dt=0.05,
-                        cycles=1)
+    return run_scenario(dataclasses.replace(
+        reference_scenario(), mode="baseline", dt=0.05, cycles=1))
 
 
 @pytest.fixture(scope="module")
 def short_joint():
-    return run_scenario(reference_scenario(), mode="improved-joint", dt=0.1,
-                        cycles=1)
+    return run_scenario(dataclasses.replace(
+        reference_scenario(), mode="improved-joint", dt=0.1, cycles=1))
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +39,8 @@ def static_both():
         reference_scenario(),
         trajectory=TrajectorySpec(kind="static-hold",
                                   center=[0.35, 0.0, 0.35]),
-        beta_policy="uniform")
-    return run_scenario(config, cycles=1)
+        beta_policy="uniform", cycles=1)
+    return run_scenario(config)
 
 
 def test_circle_state_at_start():
@@ -76,9 +77,9 @@ def test_time_grid_spans_cycles_inclusively():
     assert len(times) == 1001
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(10.0, abs=1e-12)
-    coarse = time_grid(config.with_overrides(dt=0.1))
+    coarse = time_grid(dataclasses.replace(config, dt=0.1))
     assert len(coarse) == 101
-    single = time_grid(config.with_overrides(cycles=1))
+    single = time_grid(dataclasses.replace(config, cycles=1))
     assert len(single) == 501
 
 
@@ -93,12 +94,12 @@ def test_both_mode_produces_aligned_series(short_both):
         assert sample.K1 == float(np.sum(sample.k))
         assert abs(np.sum(sample.beta) - 1.0) <= 1e-12
         assert sample.alpha is not None
-    assert result.summary.sample_count == 101
-    assert result.summary.k0_min is not None
-    assert result.summary.k1_min is not None
+    assert result.summary["sample_count"] == 101
+    assert result.summary["K0"] is not None
+    assert result.summary["K1"] is not None
     # 'both' is an alias of 'improved-fixed-alpha': identical samples
-    fixed = run_scenario(reference_scenario(), mode="improved-fixed-alpha",
-                         dt=0.05, cycles=1)
+    fixed = run_scenario(dataclasses.replace(
+        result.config, mode="improved-fixed-alpha"))
     assert len(fixed.samples) == len(result.samples)
     for a, b in zip(fixed.samples, result.samples):
         assert a.time == b.time and a.K0 == b.K0 and a.K1 == b.K1
@@ -120,8 +121,8 @@ def test_baseline_mode_has_no_improved_series(short_baseline):
         assert sample.K0 is not None
         assert sample.K1 is None
         assert sample.alpha is None
-    assert short_baseline.summary.k1_min is None
-    assert short_baseline.summary.improvement_percent is None
+    assert short_baseline.summary["K1"] is None
+    assert short_baseline.summary["improvement_percent"] is None
 
 
 def test_symmetric_static_hold_gains_nothing(static_both):
@@ -164,9 +165,10 @@ def test_proportional_shares_follow_baseline_capability(short_both):
 def test_unreachable_trajectory_reports_step_and_arm():
     config = dataclasses.replace(
         reference_scenario(),
-        trajectory=TrajectorySpec(kind="static-hold", center=[5.0, 0.0, 0.0]))
+        trajectory=TrajectorySpec(kind="static-hold", center=[5.0, 0.0, 0.0]),
+        cycles=1)
     with pytest.raises(TrajectoryError) as info:
-        run_scenario(config, cycles=1)
+        run_scenario(config)
     assert info.value.step == 0
     assert info.value.manipulator_id == 1
     assert "cannot reach" in str(info.value)
@@ -177,13 +179,15 @@ def test_velocity_flag_marks_but_does_not_change_capability(short_both):
         reference_scenario(),
         manipulators=tuple(
             dataclasses.replace(arm, velocity_limits=[1e-9, 1e-9, 1e-9])
-            for arm in reference_scenario().manipulators))
-    flagged = run_scenario(slow, dt=0.05, cycles=1)
+            for arm in reference_scenario().manipulators),
+        dt=0.05, cycles=1)
+    flagged = run_scenario(slow)
     assert any("velocity-limit" in s.flags for s in flagged.samples)
     for a, b in zip(flagged.samples, short_both.samples):
         np.testing.assert_array_equal(a.k, b.k)
         assert a.K1 == b.K1
-    assert flagged.summary.flagged_steps > short_both.summary.flagged_steps
+    assert flagged.summary["flagged_steps"] > \
+        short_both.summary["flagged_steps"]
 
 
 def test_baseline_mode_solves_each_arm_once_per_step(monkeypatch):
@@ -197,15 +201,23 @@ def test_baseline_mode_solves_each_arm_once_per_step(monkeypatch):
     # group_capability reaches the solver through the capability module
     monkeypatch.setattr(runner, "capability_scalar", counted)
     monkeypatch.setattr(capability, "capability_scalar", counted)
-    result = run_scenario(reference_scenario(), mode="baseline", dt=0.5,
-                          cycles=1)
+    result = run_scenario(dataclasses.replace(
+        reference_scenario(), mode="baseline", dt=0.5, cycles=1))
     arms = len(result.config.manipulators)
     assert len(calls) == arms * len(result.samples) == 4 * 11
 
 
 def test_run_scenario_has_no_thread_option():
     with pytest.raises(TypeError):
-        run_scenario(reference_scenario(), dt=0.5, cycles=1, threads=2)
+        run_scenario(reference_scenario(), threads=2)
+
+
+@pytest.mark.parametrize("setting", [{"mode": "baseline"}, {"dt": 0.5},
+                                     {"cycles": 1}])
+def test_run_scenario_takes_only_a_config(setting):
+    # run settings live on the config alone; derive one with replace
+    with pytest.raises(TypeError):
+        run_scenario(reference_scenario(), **setting)
 
 
 def test_run_builds_no_grasp_matrices(monkeypatch):
@@ -213,8 +225,8 @@ def test_run_builds_no_grasp_matrices(monkeypatch):
         raise AssertionError("the runner needs no 6x6 grasp matrix")
 
     monkeypatch.setattr(grasp, "grasp_matrix", refuse)
-    result = run_scenario(reference_scenario(), mode="both", dt=0.5,
-                          cycles=1)
+    result = run_scenario(dataclasses.replace(
+        reference_scenario(), mode="both", dt=0.5, cycles=1))
     assert len(result.samples) == 11
 
 
@@ -223,7 +235,7 @@ def test_object_inertia_and_dimensions_reach_no_output(tmp_path, scenario):
     # both trajectory kinds translate the object without rotating it, so its
     # inertia and dimensions are recorded but enter no result; a rotating
     # trajectory kind has to change this test on purpose
-    config = scenario().with_overrides(dt=0.1, cycles=1)
+    config = dataclasses.replace(scenario(), dt=0.1, cycles=1)
     obj = config.object
     heavy = dataclasses.replace(config, object=dataclasses.replace(
         obj, inertia=37.0 * obj.inertia + np.diag([1.0, 2.0, 3.0]),
@@ -232,7 +244,8 @@ def test_object_inertia_and_dimensions_reach_no_output(tmp_path, scenario):
         csv = []
         for name, variant in (("plain", config), ("heavy", heavy)):
             path = tmp_path / f"{name}-{mode}.csv"
-            export(run_scenario(variant, mode=mode), "csv", path)
+            export(run_scenario(dataclasses.replace(variant, mode=mode)),
+                   "csv", path)
             csv.append(path.read_bytes())
         assert csv[0] == csv[1], mode
     for t in time_grid(heavy):
@@ -269,7 +282,8 @@ def test_csv_baseline_mode_leaves_improved_columns_empty(tmp_path,
 
 
 def test_csv_runs_are_byte_identical(tmp_path, short_both):
-    again = run_scenario(reference_scenario(), dt=0.05, cycles=1)
+    again = run_scenario(dataclasses.replace(reference_scenario(), dt=0.05,
+                                             cycles=1))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     export(short_both, "csv", a)
     export(again, "csv", b)
@@ -282,7 +296,7 @@ def test_json_round_trip(tmp_path, short_both):
     with open(path) as handle:
         loaded = json.load(handle)
     assert loaded == result_dict(short_both)
-    assert loaded["summary"] == short_both.summary.to_dict()
+    assert loaded["summary"] == short_both.summary
     assert loaded["config"]["mode"] == "both"
     assert len(loaded["samples"]) == len(short_both.samples)
     from coopwrench import parse_scenario, scenario_dict, serialize_scenario
@@ -316,7 +330,8 @@ def test_plot_data_blocks(tmp_path, short_both, short_baseline):
     data = [line.split() for line in lines[2:2 + len(short_both.samples)]]
     assert all(len(row) == 3 for row in data)
     k0 = np.array([float(row[1]) for row in data])
-    assert np.min(k0) == pytest.approx(short_both.summary.k0_min, abs=0.0)
+    assert np.min(k0) == pytest.approx(short_both.summary["K0"]["min"],
+                                       abs=0.0)
     split = lines.index("")
     assert lines[split + 1] == "# reference line K = 1"
     ref_rows = [line.split() for line in lines[split + 2:]]
@@ -342,7 +357,9 @@ def test_summary_improvement_definition(short_both):
     summary = short_both.summary
     k0 = [s.K0 for s in short_both.samples]
     k1 = [s.K1 for s in short_both.samples]
-    assert summary.k0_mean == pytest.approx(sum(k0) / len(k0), rel=1e-15)
-    expected = 100.0 * (summary.k1_mean - summary.k0_mean) / summary.k0_mean
-    assert summary.improvement_percent == pytest.approx(expected, rel=1e-15)
-    assert summary.to_dict()["K0"]["min"] == summary.k0_min
+    k0_mean, k1_mean = summary["K0"]["mean"], summary["K1"]["mean"]
+    assert k0_mean == pytest.approx(sum(k0) / len(k0), rel=1e-15)
+    expected = 100.0 * (k1_mean - k0_mean) / k0_mean
+    assert summary["improvement_percent"] == pytest.approx(expected,
+                                                           rel=1e-15)
+    assert summary["K0"]["min"] == min(k0)
