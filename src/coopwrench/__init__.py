@@ -15,7 +15,7 @@ from .capability import (FLAG_INFEASIBLE, FLAG_SINGULAR, FLAG_UNBOUNDED,
 from .config import (MODES, SCHEMA_VERSION, ManipulatorModel, ObjectState,
                      RigidObjectModel, ScenarioConfig, ScenarioError,
                      ScenarioSyntaxError, ScenarioValidationError,
-                     TrajectorySpec, Wrench, asymmetric_scenario,
+                     TrajectorySpec, asymmetric_scenario,
                      cuboid_inertia, parse_scenario, reference_scenario,
                      scenario_dict, serialize_scenario)
 from .dynamics import (gravity_vector, inverse_dynamics, mass_matrix,
@@ -25,8 +25,7 @@ from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
                     grasp_matrix, object_wrench_from_ee, skew)
 from .kinematics import (JointState, Pose, differential_ik,
                          ee_pose_from_object, forward_kinematics, ik_planar3r,
-                         jacobian, joint_positions, planar_angle,
-                         planar_rotation)
+                         jacobian, joint_positions)
 from .runner import (ExportError, RunResult, TrajectoryError,
                      emit_plot_data, evaluate_trajectory, export, result_dict,
                      run_scenario, summarize, time_grid)
@@ -42,7 +41,7 @@ __all__ = [
     "ManipulatorModel", "MODES", "ObjectState", "Pose", "RigidObjectModel",
     "RunResult", "ScenarioConfig", "ScenarioError",
     "ScenarioSyntaxError", "ScenarioValidationError", "SCHEMA_VERSION",
-    "SimplexResult", "TrajectoryError", "TrajectorySpec", "Wrench",
+    "SimplexResult", "TrajectoryError", "TrajectorySpec",
     "ZeroCapabilityError", "allocate_proportional", "asymmetric_scenario",
     "capability_scalar", "counterbalance_moment", "cuboid_inertia",
     "differential_ik", "ee_pose_from_object", "emit_plot_data",
@@ -51,8 +50,7 @@ __all__ = [
     "gravity_vector", "grasp_matrix", "group_capability",
     "group_capability_joint", "ik_planar3r", "inverse_dynamics", "jacobian",
     "joint_positions", "mass_matrix", "object_desired_wrench",
-    "object_wrench_from_ee", "parse_scenario", "planar_angle",
-    "planar_rotation", "reference_scenario", "result_dict", "run_scenario",
-    "scenario_dict", "serialize_scenario", "simplex_solve", "skew",
-    "summarize", "time_grid",
+    "object_wrench_from_ee", "parse_scenario", "reference_scenario",
+    "result_dict", "run_scenario", "scenario_dict", "serialize_scenario",
+    "simplex_solve", "skew", "summarize", "time_grid",
 ]

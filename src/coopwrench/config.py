@@ -88,32 +88,6 @@ def _set(obj, name, value):
 
 
 @dataclass(frozen=True, eq=False)
-class Wrench:
-    """A spatial force: 3-vector force paired with a 3-vector torque."""
-
-    force: np.ndarray
-    torque: np.ndarray
-
-    def __post_init__(self):
-        _set(self, "force", _freeze(self.force, (3,), "wrench force"))
-        _set(self, "torque", _freeze(self.torque, (3,), "wrench torque"))
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_vector(cls, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (6,):
-            raise ValueError("wrench vector must have 6 components")
-        return cls(vec[:3], vec[3:])
-
-    def as_vector(self):
-        return np.concatenate([self.force, self.torque])
-
-
-@dataclass(frozen=True, eq=False)
 class ObjectState:
     """CoM position and its first two derivatives; the object never rotates."""
 
@@ -303,6 +277,15 @@ class ScenarioConfig:
                     f"manipulator {arm.id}: joint count must be 3")
         if not math.isfinite(_real(self.gravity)):
             raise ScenarioValidationError("gravity must be finite")
+        # on Python floats, where a product that overflows is inf
+        keys, accel = "mass * |gravity|", abs(_real(self.gravity))
+        if self.trajectory.kind == "circle":
+            keys = "mass * (|gravity| + radius * angular_rate^2)"
+            rate = _real(self.trajectory.angular_rate)
+            accel += _real(self.trajectory.radius) * rate * rate
+        if not math.isfinite(_real(self.object.mass) * accel):
+            raise ScenarioValidationError(
+                f"peak object force {keys} must be finite")
         if not 0.0 < _real(self.dt) < math.inf:
             raise ScenarioValidationError("dt must be positive and finite")
         if not _whole(self.cycles) or self.cycles < 1:

@@ -14,7 +14,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .config import Wrench
 from .kinematics import JointState
 
 
@@ -77,7 +76,7 @@ def gravity_vector(model, q, gravity):
 
 
 def object_desired_wrench(obj, state, gravity):
-    """Net wrench the grasp group must apply to realize an object motion.
+    """Net wrench [f; 0] the grasp group applies to realize an object motion.
 
     Force balances inertia plus weight (hovering therefore needs a purely
     upward force).  The object translates without rotating, so the torque
@@ -85,4 +84,4 @@ def object_desired_wrench(obj, state, gravity):
     """
     force = obj.mass * state.linear_accel \
         + np.array([0.0, 0.0, obj.mass * gravity])
-    return Wrench(force, np.zeros(3))
+    return np.concatenate([force, np.zeros(3)])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioValidationError, Wrench, _set
+from .config import ScenarioValidationError, _set
 
 
 class ZeroCapabilityError(ValueError):
@@ -58,8 +58,10 @@ class GraspMap:
     @classmethod
     def from_vectors(cls, grasp_vectors):
         vectors = np.array(grasp_vectors, dtype=float)
-        if vectors.ndim != 2 or vectors.shape[1] != 3:
-            raise ValueError("grasp vectors must be an N x 3 array")
+        if vectors.ndim != 2 or vectors.shape[1:] != (3,) or \
+                vectors.size == 0 or not np.isfinite(vectors).all():
+            raise ValueError("grasp_vectors must be a finite N x 3 array "
+                             f"with N >= 1, got shape {vectors.shape}")
         vectors.flags.writeable = False
         return cls(vectors)
 
@@ -69,14 +71,15 @@ class GraspMap:
 
 
 def object_wrench_from_ee(grasp_map, wrenches):
-    """Total object wrench produced by per-manipulator grasp wrenches."""
-    if len(wrenches) != grasp_map.count:
-        raise ValueError(
-            f"expected {grasp_map.count} wrenches, got {len(wrenches)}")
+    """Total object wrench [f; m] from one grasp wrench [f; m] per row."""
+    wrenches = np.asarray(wrenches, dtype=float)
+    if wrenches.shape != (grasp_map.count, 6):
+        raise ValueError(f"wrenches must have shape ({grasp_map.count}, 6), "
+                         f"got {wrenches.shape}")
     total = np.zeros(6)
     for r, wrench in zip(grasp_map.grasp_vectors, wrenches):
-        total += grasp_matrix(r) @ wrench.as_vector()
-    return Wrench.from_vector(total)
+        total += grasp_matrix(r) @ wrench
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +116,20 @@ def counterbalance_moment(weights, grasp_map, object_force):
 
     Splitting a pure force by shares beta applies it at the share-weighted
     grasp centroid; the induced moment is that centroid offset crossed with
-    the force.  The returned wrench (zero force, negated moment) is what the
-    group must additionally apply so the object still feels exactly the
-    desired wrench.  object_force must be a 3-vector (ValueError otherwise).
+    the force.  Returns ``(induced, compensation)``: the group must also
+    apply the wrench [0; -induced] so the object feels exactly the desired
+    wrench.  object_force must be a 3-vector, with one share per grasp
+    point (ValueError otherwise).
     """
     force = np.asarray(object_force, dtype=float)
     if force.shape != (3,):
         raise ValueError(
             f"object_force must have shape (3,), got {force.shape}")
+    if weights.beta.size != grasp_map.count:
+        raise ValueError(f"{weights.beta.size} shares for "
+                         f"{grasp_map.count} grasp points")
     cx, cy, cz = (weights.beta @ grasp_map.grasp_vectors).tolist()
     fx, fy, fz = force.tolist()
     induced = np.array([cy * fz - cz * fy, cz * fx - cx * fz,
                         cx * fy - cy * fx])
-    return induced, Wrench(np.zeros(3), -induced)
+    return induced, np.concatenate([np.zeros(3), -induced])

@@ -5,17 +5,19 @@ reachable y-coordinates).  The planar link angle is measured counterclockwise
 from +X toward +Z as conventionally drawn with X right and Z up.  In
 right-handed 3-D terms a positive joint rate therefore spins the links about
 the -Y axis, so the angular rows of the geometric Jacobian carry -1 in the
-y slot.  The carried object translates without rotating, so each end
-effector holds its grasp point at identity orientation.
+y slot.  A pose is therefore a position plus one pitch angle, and a twist
+its planar rows (px, pz, wy).  The carried object translates without
+rotating, so each end effector holds its grasp point at pitch 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioValidationError, _freeze, _set
+from .config import ScenarioValidationError, _freeze, _real, _set
 
 # Unit rotation axis generated by a positive joint rate (see module docstring).
 JOINT_AXIS = np.array([0.0, -1.0, 0.0])
@@ -30,56 +32,32 @@ _FD_STEP = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class JointState:
-    """Joint positions with optional velocities and accelerations."""
+    """Joint positions, velocities and accelerations for inverse_dynamics."""
 
     q: np.ndarray
-    qdot: np.ndarray | None = None
-    qddot: np.ndarray | None = None
+    qdot: np.ndarray
+    qddot: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        n = q.size
-        _set(self, "q", _freeze(q, (n,), "q"))
-        for name in ("qdot", "qddot"):
-            value = getattr(self, name)
-            if value is None:
-                value = np.zeros(n)
-                value.flags.writeable = False
-            else:
-                value = _freeze(value, (n,), name)
-            _set(self, name, value)
+        n = np.size(self.q)
+        for name in ("q", "qdot", "qddot"):
+            _set(self, name, _freeze(getattr(self, name), (n,), name))
 
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """Position plus orthonormal orientation of a frame in the world."""
+    """World position of a frame plus its pitch, the planar link angle."""
 
     position: np.ndarray
-    orientation: np.ndarray
+    pitch: float
 
     def __post_init__(self):
         _set(self, "position", _freeze(self.position, (3,), "pose position"))
-        _set(self, "orientation",
-             _freeze(self.orientation, (3, 3), "pose orientation"))
-        R = self.orientation
-        if np.abs(R.T @ R - np.eye(3)).max() > 1e-12:
-            raise ScenarioValidationError("pose orientation must be orthonormal")
-
-
-def planar_rotation(angle):
-    """World orientation of a frame at the given planar angle.
-
-    The frame's x-axis is [cos a, 0, sin a]; y stays the world Y axis.
-    """
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, -s],
-                     [0.0, 1.0, 0.0],
-                     [s, 0.0, c]])
-
-
-def planar_angle(orientation):
-    """Planar angle of an in-plane orientation (inverse of planar_rotation)."""
-    return float(np.arctan2(orientation[2, 0], orientation[0, 0]))
+        pitch = _real(self.pitch)
+        if not math.isfinite(pitch):
+            raise ScenarioValidationError(
+                f"pose pitch must be a finite number, got {self.pitch!r}")
+        _set(self, "pitch", pitch)
 
 
 def _link_points(model, q):
@@ -112,22 +90,20 @@ def joint_positions(model, q):
     return np.array([[x, by, z] for x, z in zip(xs, zs)])
 
 
-def forward_kinematics(model, state):
-    """End-effector pose for the given joint state."""
-    q = state.q if isinstance(state, JointState) else np.asarray(state, float)
-    points = joint_positions(model, q)
-    return Pose(points[-1], planar_rotation(float(np.sum(q))))
+def forward_kinematics(model, q):
+    """End-effector pose for the given joint positions."""
+    q = np.asarray(q, dtype=float)
+    return Pose(joint_positions(model, q)[-1], float(q.sum()))
 
 
-def jacobian(model, state):
+def jacobian(model, q):
     """Geometric Jacobian (6 x n): stacked linear then angular velocity maps.
 
     Row order is [px, py, pz, wx, wy, wz].  Rows py, wx, wz are identically
     zero for these planar chains and row wy is -1 per joint (the chains spin
     about -Y for positive joint rates).
     """
-    q = state.q if isinstance(state, JointState) else np.asarray(state, float)
-    xs, zs = _link_points(model, q)
+    xs, zs = _link_points(model, np.asarray(q, dtype=float))
     ex, ez = xs.pop(), zs.pop()
     zero = [0.0] * len(xs)
     # JOINT_AXIS x lever expands to (-lever_z, 0, lever_x); the angular
@@ -146,14 +122,12 @@ def ik_planar3r(model, target):
     """
     if model.joint_count != 3:
         raise ValueError("ik_planar3r requires a 3-joint model")
-    p = target.position
-    R = target.orientation
+    p, pitch = target.position, target.pitch
     base = model.base_position
     # out-of-plane targets are unreachable for a planar chain
-    if abs(p[1] - base[1]) > 1e-9 or abs(R[1, 1] - 1.0) > 1e-9:
+    if abs(p[1] - base[1]) > 1e-9:
         return []
     l1, l2, l3 = model.link_lengths
-    pitch = planar_angle(R)
     wrist_u = p[0] - l3 * np.cos(pitch) - base[0]
     wrist_v = p[2] - l3 * np.sin(pitch) - base[2]
     rr = wrist_u ** 2 + wrist_v ** 2
@@ -187,21 +161,24 @@ def _solve_planar(J3, rhs, damped):
     return np.linalg.solve(J3, rhs)
 
 
-def differential_ik(model, state, ee_twist, ee_accel):
+def differential_ik(model, q, ee_twist, ee_accel):
     """Joint velocities and accelerations realizing an end-effector motion.
 
-    ee_twist and ee_accel are 6-vectors (linear stacked over angular); only
-    the three planar rows are solvable for a planar chain and the remaining
-    rows must be zero for a consistent task.  The acceleration solve uses a
-    central finite-difference Jacobian derivative.  A damped solve is
-    reported through the ``damped`` flag rather than raised.
+    ee_twist and ee_accel are the planar rows (px, pz, wy) of the twist and
+    of its derivative, 3-vectors each (ValueError otherwise).  The
+    acceleration solve uses a central finite-difference Jacobian
+    derivative.  A damped solve is reported through the ``damped`` flag
+    rather than raised.
     """
-    q = state.q if isinstance(state, JointState) else np.asarray(state, float)
+    q = np.asarray(q, dtype=float)
     ee_twist = np.asarray(ee_twist, dtype=float)
     ee_accel = np.asarray(ee_accel, dtype=float)
+    if ee_twist.shape != (3,) or ee_accel.shape != (3,):
+        raise ValueError("ee_twist and ee_accel must be (px, pz, wy) rows, "
+                         f"got shapes {ee_twist.shape}, {ee_accel.shape}")
     J3 = jacobian(model, q)[[0, 2, 4]]  # rows px, pz, wy
     damped = bool(np.linalg.svd(J3, compute_uv=False)[-1] < SINGULAR_THRESHOLD)
-    qdot = _solve_planar(J3, ee_twist[[0, 2, 4]], damped)
+    qdot = _solve_planar(J3, ee_twist, damped)
     jdot = np.zeros((3, q.size))  # the same rows; [::2] selects them too
     bump = np.zeros(q.size)
     for j in range(q.size):
@@ -210,11 +187,10 @@ def differential_ik(model, state, ee_twist, ee_accel):
               - jacobian(model, q - bump)[::2]) / (2.0 * _FD_STEP)
         bump[j] = 0.0
         jdot += dJ * qdot[j]
-    qddot = _solve_planar(J3, ee_accel[[0, 2, 4]] - jdot @ qdot, damped)
+    qddot = _solve_planar(J3, ee_accel - jdot @ qdot, damped)
     return DifferentialIk(qdot, qddot, damped)
 
 
 def ee_pose_from_object(state, grasp_point):
     """Pose holding the non-rotating object at a body-frame grasp point."""
-    return Pose(state.position + np.asarray(grasp_point, dtype=float),
-                np.eye(3))
+    return Pose(state.position + np.asarray(grasp_point, dtype=float), 0.0)

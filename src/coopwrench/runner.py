@@ -107,12 +107,11 @@ def _step_sample(config, grasp_map, state, t, joints):
     ``joints`` holds each manipulator's joint positions at ``state``.
     """
     h_d = object_desired_wrench(config.object, state, config.gravity)
-    h_d6 = h_d.as_vector()
     step_flags = set()
-    # every point of a translating body moves alike: one twist for all arms
-    zero = np.zeros(3)
-    ee_twist = np.concatenate([state.linear_velocity, zero])
-    ee_accel = np.concatenate([state.linear_accel, zero])
+    # every point of a translating body moves alike: one planar twist
+    # (px, pz, wy) for all arms
+    ee_twist = np.append(state.linear_velocity[::2], 0.0)
+    ee_accel = np.append(state.linear_accel[::2], 0.0)
 
     arms = []  # (Jacobian, its image of h_d, self-load, limits) per arm
     for model, q in zip(config.manipulators, joints):
@@ -124,14 +123,14 @@ def _step_sample(config, grasp_map, state, t, joints):
         tau_prime = inverse_dynamics(
             model, JointState(q, motion.qdot, motion.qddot), config.gravity)
         jac = jacobian(model, q)
-        arms.append((jac, jac.T @ h_d6, tau_prime, model.torque_limits))
+        arms.append((jac, jac.T @ h_d, tau_prime, model.torque_limits))
 
     cap = config.unbounded_cap
     count = len(arms)
 
-    def build_problems(h_delta6):
+    def build_problems(h_delta):
         return [CapabilityProblem(
-            jt_hd=jt_hd, jt_hdelta=jac.T @ h_delta6,
+            jt_hd=jt_hd, jt_hdelta=jac.T @ h_delta,
             tau_prime=tau_prime, tau_max=tau_max)
             for jac, jt_hd, tau_prime, tau_max in arms]
 
@@ -154,14 +153,14 @@ def _step_sample(config, grasp_map, state, t, joints):
 
     if config.mode == "baseline":
         t_delta, _ = counterbalance_moment(
-            AllocationWeights(beta), grasp_map, h_d.force)
+            AllocationWeights(beta), grasp_map, h_d[:3])
         return CapabilitySample(time=t, k=k0, K0=K0, K1=None, beta=beta,
                                 alpha=None, t_delta=t_delta, flags=step_flags)
 
     for _ in range(config.beta_iterations + 1):
         weights = AllocationWeights(beta)
-        t_delta, h_delta = counterbalance_moment(weights, grasp_map, h_d.force)
-        problems = build_problems(h_delta.as_vector())
+        t_delta, h_delta = counterbalance_moment(weights, grasp_map, h_d[:3])
+        problems = build_problems(h_delta)
         if config.mode == "improved-joint":
             improved = group_capability_joint(problems, unbounded_cap=cap)
         else:

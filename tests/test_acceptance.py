@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coopwrench import (AllocationWeights, CapabilityProblem, GraspMap,
-                        JointState, ManipulatorModel, TrajectorySpec, Wrench,
+                        JointState, ManipulatorModel, TrajectorySpec,
                         capability_scalar, counterbalance_moment,
                         evaluate_trajectory, export, forward_kinematics,
                         ik_planar3r, inverse_dynamics, jacobian,
@@ -20,7 +20,8 @@ from coopwrench import (AllocationWeights, CapabilityProblem, GraspMap,
 from coopwrench.capability import FLAG_UNBOUNDED, DEFAULT_UNBOUNDED_CAP
 from coopwrench.simplex import OPTIMAL
 
-from oracles import (bisect_capability, closed_form_2r,
+from coopwrench.kinematics import JOINT_AXIS
+from oracles import (bisect_capability, closed_form_2r, rodrigues,
                      vertex_enumeration_optimum)
 from test_simplex import LP_SIZES, boxed_random_lp, capability_lp
 
@@ -154,19 +155,16 @@ def test_closed_loop_balance_identity():
     for _ in range(1000):
         count = int(rng.integers(1, 6))
         grasp_map = GraspMap.from_vectors(rng.normal(size=(count, 3)) * 0.2)
-        h_d = Wrench(rng.normal(size=3) * 10.0, rng.normal(size=3))
+        h_d = np.concatenate([rng.normal(size=3) * 10.0, rng.normal(size=3)])
         beta = rng.uniform(0.05, 1.0, count)
         beta /= beta.sum()
         alpha = rng.normal(size=count)
         alpha += (1.0 - alpha.sum()) / count
         weights = AllocationWeights(beta)
-        _, h_delta = counterbalance_moment(weights, grasp_map, h_d.force)
-        parts = [Wrench.from_vector(b * h_d.as_vector()
-                                    + a * h_delta.as_vector())
-                 for b, a in zip(beta, alpha)]
+        _, h_delta = counterbalance_moment(weights, grasp_map, h_d[:3])
+        parts = [b * h_d + a * h_delta for b, a in zip(beta, alpha)]
         total = object_wrench_from_ee(grasp_map, parts)
-        worst = max(worst, float(np.linalg.norm(
-            total.as_vector() - h_d.as_vector())))
+        worst = max(worst, float(np.linalg.norm(total - h_d)))
     assert worst <= 1e-10
     print(f"PASS closed-loop balance: 1000 random allocations, "
           f"max residual = {worst:.2e} <= 1e-10")
@@ -191,8 +189,9 @@ def test_jacobian_matches_finite_differences():
             plus = forward_kinematics(model, q + dq)
             minus = forward_kinematics(model, q - dq)
             fd[:3, j] = (plus.position - minus.position) / (2.0 * h)
-            W = (plus.orientation - minus.orientation) / (2.0 * h) \
-                @ forward_kinematics(model, q).orientation.T
+            W = (rodrigues(JOINT_AXIS, plus.pitch)
+                 - rodrigues(JOINT_AXIS, minus.pitch)) / (2.0 * h) \
+                @ rodrigues(JOINT_AXIS, forward_kinematics(model, q).pitch).T
             fd[3:, j] = [W[2, 1], W[0, 2], W[1, 0]]
         rel = np.max(np.abs(fd - J)) / max(1.0, np.max(np.abs(J)))
         worst = max(worst, rel)
@@ -246,11 +245,11 @@ def test_static_hover_wrench_value():
     state = evaluate_trajectory(
         TrajectorySpec(kind="static-hold", center=[0.35, 0.0, 0.35]), 0.0)
     wrench = object_desired_wrench(obj, state, 9.8067)
-    np.testing.assert_allclose(wrench.force, [0.0, 0.0, 19.6134],
+    np.testing.assert_allclose(wrench[:3], [0.0, 0.0, 19.6134],
                                rtol=0, atol=1e-10)
-    np.testing.assert_allclose(wrench.torque, np.zeros(3), rtol=0,
+    np.testing.assert_allclose(wrench[3:], np.zeros(3), rtol=0,
                                atol=1e-10)
-    print(f"PASS static hover wrench: force = {wrench.force.tolist()} "
+    print(f"PASS static hover wrench: force = {wrench[:3].tolist()} "
           f"within 1e-10 of [0, 0, 19.6134]")
 
 

@@ -188,6 +188,23 @@ def test_two_joint_arm_is_rejected_by_validate_and_run(tmp_path, capsys):
     assert err.count("manipulator 1: joint count must be 3") == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("gravity: 9.8067", "gravity: 1.0e+308"),
+    ("angular_rate: 1.2566370614359172", "angular_rate: 1.0e+200"),
+])
+def test_overflowing_object_force_fails_validate_and_run_alike(
+        tmp_path, capsys, old, new):
+    path = write_scenario(tmp_path, REFERENCE_SCENARIO_TEXT.replace(old, new))
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "x")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("peak object force mass * (|gravity| + radius * "
+                     "angular_rate^2) must be finite") == 2
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_oversized_grid_exits_before_allocating(tmp_path, capsys,
                                                     monkeypatch):
     def no_grid(config):

@@ -8,7 +8,7 @@ import yaml
 
 from coopwrench import (ManipulatorModel, RigidObjectModel,
                         ScenarioConfig, ScenarioSyntaxError,
-                        ScenarioValidationError, TrajectorySpec, Wrench,
+                        ScenarioValidationError, TrajectorySpec,
                         asymmetric_scenario, cuboid_inertia, parse_scenario,
                         reference_scenario, scenario_dict, serialize_scenario)
 from coopwrench.config import REFERENCE_SCENARIO_TEXT, SCENARIO_TEXTS
@@ -255,6 +255,38 @@ def test_non_finite_number_rejected_at_parse_time(section, key, value):
         reparse(doc)
 
 
+CIRCLE_FORCE = "mass * (|gravity| + radius * angular_rate^2) must be finite"
+HOLD_FORCE = "mass * |gravity| must be finite"
+
+
+@pytest.mark.parametrize("section,key,value,kind,message", [
+    (None, "gravity", 1e308, "circle", CIRCLE_FORCE),
+    (None, "gravity", -1e308, "circle", CIRCLE_FORCE),
+    ("object", "mass", 1e308, "circle", CIRCLE_FORCE),
+    ("trajectory", "radius", 1e308, "circle", CIRCLE_FORCE),
+    ("trajectory", "angular_rate", 1e200, "circle", CIRCLE_FORCE),
+    (None, "gravity", 1e308, "static-hold", HOLD_FORCE),
+])
+def test_overflowing_peak_object_force_rejected_at_parse_time(
+        section, key, value, kind, message):
+    doc = scenario_dict(reference_scenario())
+    doc["trajectory"]["kind"] = kind
+    (doc if section is None else doc[section])[key] = value
+    with pytest.raises(ScenarioValidationError) as info:
+        reparse(doc)
+    assert str(info.value) == f"peak object force {message}"
+
+
+def test_peak_object_force_checks_an_integer_rate_only_on_a_circle():
+    config = reference_scenario()
+    fast = dataclasses.replace(config.trajectory, angular_rate=10 ** 200)
+    with pytest.raises(ScenarioValidationError, match="peak object force"):
+        dataclasses.replace(config, trajectory=fast)
+    # a static hold never reads the rate, only the weight
+    hold = dataclasses.replace(fast, kind="static-hold")
+    assert dataclasses.replace(config, trajectory=hold).trajectory is hold
+
+
 @pytest.mark.parametrize("build,field", [
     (lambda: TrajectorySpec(kind="circle", radius=0.05,
                             angular_rate=math.nan), "angular_rate"),
@@ -376,17 +408,6 @@ def test_object_model_invariants():
     with pytest.raises(ScenarioValidationError, match="N x 3"):
         RigidObjectModel(mass=1.0, inertia=np.eye(3),
                          grasp_points=[0.1, 0.0, 0.0])
-
-
-def test_wrench_vector_round_trip():
-    w = Wrench(force=[1.0, 2.0, 3.0], torque=[4.0, 5.0, 6.0])
-    np.testing.assert_array_equal(w.as_vector(), [1, 2, 3, 4, 5, 6])
-    again = Wrench.from_vector(w.as_vector())
-    np.testing.assert_array_equal(again.force, w.force)
-    np.testing.assert_array_equal(again.torque, w.torque)
-    np.testing.assert_array_equal(Wrench.zero().as_vector(), np.zeros(6))
-    with pytest.raises(ValueError, match="6 components"):
-        Wrench.from_vector([1.0, 2.0, 3.0])
 
 
 def test_config_is_frozen_and_arrays_read_only():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from coopwrench import (AllocationWeights, GraspMap, ScenarioValidationError,
-                        Wrench, ZeroCapabilityError, allocate_proportional,
+                        ZeroCapabilityError, allocate_proportional,
                         counterbalance_moment, grasp_matrix,
                         object_wrench_from_ee, reference_scenario, skew)
 
@@ -52,26 +52,42 @@ def test_grasp_matrix_structure():
 
 def test_object_wrench_single_centered_grasp():
     gm = GraspMap.from_vectors([[0.0, 0.0, 0.0]])
-    h1 = Wrench([1.0, -2.0, 3.0], [0.4, 0.5, -0.6])
+    h1 = np.array([1.0, -2.0, 3.0, 0.4, 0.5, -0.6])
     total = object_wrench_from_ee(gm, [h1])
-    np.testing.assert_array_equal(total.force, h1.force)
-    np.testing.assert_array_equal(total.torque, h1.torque)
+    np.testing.assert_array_equal(total, h1)
 
 
 def test_object_wrench_force_couple():
     r = np.array([0.1, 0.0, 0.05])
     f = np.array([0.0, 0.0, 3.0])
     gm = GraspMap.from_vectors([r, -r])
+    zero = np.zeros(3)
     total = object_wrench_from_ee(
-        gm, [Wrench(f, np.zeros(3)), Wrench(-f, np.zeros(3))])
-    np.testing.assert_allclose(total.force, np.zeros(3), atol=1e-15)
-    np.testing.assert_allclose(total.torque, 2.0 * np.cross(r, f), atol=1e-15)
+        gm, [np.concatenate([f, zero]), np.concatenate([-f, zero])])
+    np.testing.assert_allclose(total[:3], np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(total[3:], 2.0 * np.cross(r, f), atol=1e-15)
 
 
 def test_object_wrench_count_mismatch():
     gm = GraspMap.from_vectors([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
     with pytest.raises(ValueError):
-        object_wrench_from_ee(gm, [Wrench.zero()])
+        object_wrench_from_ee(gm, [np.zeros(6)])
+
+
+@pytest.mark.parametrize("wrenches", [np.zeros(12), np.zeros((2, 3)),
+                                      np.zeros((2, 6, 1)), np.zeros((3, 6))])
+def test_object_wrench_takes_one_6_row_per_grasp(wrenches):
+    gm = GraspMap.from_vectors([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"\(2, 6\)"):
+        object_wrench_from_ee(gm, wrenches)
+
+
+@pytest.mark.parametrize("vectors", [[[np.nan, 0.0, 0.0], [0.1, 0.0, 0.0]],
+                                     [[np.inf, 0.0, 0.0]], np.zeros((0, 3)),
+                                     [0.1, 0.0, 0.0], np.zeros((2, 2))])
+def test_grasp_map_rejects_bad_grasp_sets(vectors):
+    with pytest.raises(ValueError, match="grasp_vectors"):
+        GraspMap.from_vectors(vectors)
 
 
 def test_grasp_map_from_object_rotates_offsets():
@@ -119,8 +135,7 @@ def test_counterbalance_symmetric_equal_shares_is_zero():
     weights = AllocationWeights(np.full(4, 0.25))
     t_delta, h_delta = counterbalance_moment(weights, gm, [0.0, 0.0, 19.6134])
     np.testing.assert_array_equal(t_delta, np.zeros(3))
-    np.testing.assert_array_equal(h_delta.force, np.zeros(3))
-    np.testing.assert_array_equal(h_delta.torque, np.zeros(3))
+    np.testing.assert_array_equal(h_delta, np.zeros(6))
 
 
 def test_counterbalance_single_loaded_arm():
@@ -128,9 +143,9 @@ def test_counterbalance_single_loaded_arm():
     weights = AllocationWeights([1.0, 0.0, 0.0, 0.0])
     t_delta, h_delta = counterbalance_moment(weights, gm, [0.0, 0.0, 19.6134])
     np.testing.assert_allclose(t_delta, [0.0, -1.96134, 0.0], atol=1e-15)
-    np.testing.assert_allclose(h_delta.torque, [0.0, 1.96134, 0.0],
+    np.testing.assert_allclose(h_delta[3:], [0.0, 1.96134, 0.0],
                                atol=1e-15)
-    np.testing.assert_array_equal(h_delta.force, np.zeros(3))
+    np.testing.assert_array_equal(h_delta[:3], np.zeros(3))
 
 
 def test_counterbalance_parallel_force_is_zero():
@@ -158,6 +173,13 @@ def test_counterbalance_rejects_force_not_a_3_vector(force):
         counterbalance_moment(AllocationWeights([0.3, 0.7]), gm, force)
 
 
+def test_counterbalance_rejects_share_count_mismatch():
+    gm = GraspMap.from_vectors([[0.2, 0.0, 0.0], [-0.1, 0.0, 0.1]])
+    with pytest.raises(ValueError, match="3 shares for 2 grasp points"):
+        counterbalance_moment(AllocationWeights([0.2, 0.3, 0.5]), gm,
+                              [0.0, 0.0, 1.0])
+
+
 def test_counterbalance_matches_numpy_cross_bit_for_bit():
     rng = np.random.default_rng(36)
     for _ in range(500):
@@ -171,7 +193,7 @@ def test_counterbalance_matches_numpy_cross_bit_for_bit():
         expected = np.cross(weights.beta @ gm.grasp_vectors, force)
         assert np.array_equal(induced, expected)
         assert np.array_equal(np.signbit(induced), np.signbit(expected))
-        assert np.array_equal(np.signbit(h_delta.torque),
+        assert np.array_equal(np.signbit(h_delta[3:]),
                               np.signbit(-expected))
 
 
@@ -186,15 +208,12 @@ def test_closed_loop_wrench_balance():
         beta /= beta.sum()
         alpha = rng.uniform(-1.0, 1.0, count)
         alpha += (1.0 - alpha.sum()) / count
-        h_d = Wrench(rng.normal(size=3) * 20.0, rng.normal(size=3) * 2.0)
+        h_d = np.concatenate([rng.normal(size=3) * 20.0,
+                              rng.normal(size=3) * 2.0])
         _, h_delta = counterbalance_moment(
-            AllocationWeights(beta), gm, h_d.force)
-        wrenches = [
-            Wrench.from_vector(beta[i] * h_d.as_vector()
-                               + alpha[i] * h_delta.as_vector())
-            for i in range(count)
-        ]
+            AllocationWeights(beta), gm, h_d[:3])
+        wrenches = [beta[i] * h_d + alpha[i] * h_delta for i in range(count)]
         total = object_wrench_from_ee(gm, wrenches)
-        err = np.linalg.norm(total.as_vector() - h_d.as_vector())
+        err = np.linalg.norm(total - h_d)
         worst = max(worst, err)
     assert worst <= 1e-10
