@@ -11,13 +11,14 @@ linear program over all manipulators at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import (DEFAULT_UNBOUNDED_CAP, ScenarioValidationError, _freeze,
-                     _set)
+                     _real, _set)
 from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, simplex_solve
 
 FLAG_INFEASIBLE = "infeasible"
@@ -30,19 +31,19 @@ FLAG_VELOCITY = "velocity-limit"
 class CapabilityProblem:
     """Per-manipulator torque picture for one time step.
 
-    jt_hd and jt_hdelta are the joint-torque images of the desired object
-    wrench and of the compensating wrench; tau_prime the torques already
-    spent carrying the chain itself.
+    jt_hd is the joint-torque image of the desired object wrench, tau_prime
+    the torques already spent carrying the chain itself.  The compensating
+    wrench [0; m] needs no field: every joint turns about JOINT_AXIS, so
+    jacobian(arm, q).T @ [0; m] is JOINT_AXIS @ m, the solves' ``moment``.
     """
 
     jt_hd: np.ndarray
-    jt_hdelta: np.ndarray
     tau_prime: np.ndarray
     tau_max: np.ndarray
 
     def __post_init__(self):
         n = np.asarray(self.jt_hd).size
-        for name in ("jt_hd", "jt_hdelta", "tau_prime", "tau_max"):
+        for name in ("jt_hd", "tau_prime", "tau_max"):
             _set(self, name, _freeze(getattr(self, name), (n,), name))
         if (self.tau_max <= 0.0).any():
             raise ScenarioValidationError("tau_max must be strictly positive")
@@ -80,29 +81,35 @@ def _check_cap(unbounded_cap):
                          f"got {unbounded_cap!r}")
 
 
+def _check_moment(moment):
+    value = _real(moment)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"moment must be a finite real number, got {moment!r}")
+    return value
+
+
 class ScalarCapability(NamedTuple):
     k: float
     flag: str | None
 
 
-def capability_scalar(problem, *, alpha_i=0.0,
+def capability_scalar(problem, *, moment=0.0,
                       unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     """Largest feasible multiple of the desired wrench for one manipulator.
 
     Solves max k >= 0 subject to |offset + k * jt_hd| <= tau_max per joint,
-    where the offset is tau_prime plus this manipulator's alpha share of the
-    compensating wrench torque image (alpha_i = 0 is the baseline, bit for
-    bit, since the problem's arrays are finite).
+    where the offset is tau_prime plus ``moment``, this manipulator's share
+    of the compensating moment, at every joint (moment = 0 is the baseline).
     Rows whose jt_hd entry is zero cannot bound k; they only gate
     feasibility.  If no row bounds k from above the documented cap is
     returned with a flag, as it also is when a finite bound exceeds the cap.
-    alpha_i must be finite and unbounded_cap positive and finite
-    (ValueError otherwise).
+    moment must be a finite real number and unbounded_cap positive and
+    finite (ValueError otherwise).
     """
-    if not -np.inf < alpha_i < np.inf:
-        raise ValueError(f"alpha_i must be finite, got {alpha_i!r}")
+    moment = _check_moment(moment)
     _check_cap(unbounded_cap)
-    offset = problem.tau_prime + alpha_i * problem.jt_hdelta
+    offset = problem.tau_prime + moment
     a = problem.jt_hd
     tau = problem.tau_max
     fixed = a == 0.0
@@ -142,31 +149,37 @@ class GroupCapability(NamedTuple):
         return float(np.sum(self.k))
 
 
-def group_capability(problems, alpha, *,
+def group_capability(problems, alpha, moment, *,
                      unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     """Fixed-alpha group capability K1 from per-manipulator scalar solves.
 
-    Each manipulator is offset by its alpha share of the compensating
-    wrench; the summed scalar is K1.  alpha needs one share per problem.
+    Manipulator i is offset by its share alpha[i] * moment of the
+    compensating moment; the summed scalar is K1.  alpha needs one finite
+    share per problem and moment must be finite (ValueError otherwise).
     """
-    solves = [capability_scalar(problem, alpha_i=float(alpha_i),
+    moment = _check_moment(moment)
+    shares = np.asarray(alpha, dtype=float)
+    if not np.isfinite(shares).all():
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    solves = [capability_scalar(problem, moment=float(alpha_i) * moment,
                                 unbounded_cap=unbounded_cap)
-              for problem, alpha_i in zip(problems, alpha, strict=True)]
+              for problem, alpha_i in zip(problems, shares, strict=True)]
     return GroupCapability(
-        np.array([solve.k for solve in solves], dtype=float),
-        np.asarray(alpha, dtype=float),
+        np.array([solve.k for solve in solves], dtype=float), shares,
         frozenset(solve.flag for solve in solves if solve.flag is not None))
 
 
-def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
+def group_capability_joint(problems, moment, *,
+                           unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     """Group capability co-optimizing the compensation split.
 
     Decision variables are every manipulator's scale k_i >= 0 and free
     shares alpha_i summing to 1; the objective is the summed scale.  Each
-    joint contributes a two-sided torque row.  Explicit caps keep otherwise
-    unbounded scales at the documented ceiling instead of an unbounded
-    verdict.
+    joint contributes a two-sided torque row, in which alpha_i carries the
+    compensating ``moment``.  Explicit caps keep otherwise unbounded scales
+    at the documented ceiling instead of an unbounded verdict.
     """
+    moment = _check_moment(moment)
     _check_cap(unbounded_cap)
     count = len(problems)
     n_vars = 2 * count
@@ -180,7 +193,7 @@ def group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     for i, problem in enumerate(problems):
         torque = slice(start, start + problem.joint_count)
         rows[torque, i] = problem.jt_hd
-        rows[torque, count + i] = problem.jt_hdelta
+        rows[torque, count + i] = moment
         lowers[torque] = -problem.tau_max - problem.tau_prime
         uppers[torque] = problem.tau_max - problem.tau_prime
         start = torque.stop

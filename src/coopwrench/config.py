@@ -286,6 +286,18 @@ class ScenarioConfig:
         if not math.isfinite(_real(self.object.mass) * accel):
             raise ScenarioValidationError(
                 f"peak object force {keys} must be finite")
+        # a grasp target is the object position plus its grasp point; the
+        # circle reaches radius further along x and z
+        keys, reach = "|trajectory center| + |grasp_points|", 0.0
+        if self.trajectory.kind == "circle":
+            keys = "|trajectory center| + radius + |grasp_points|"
+            reach = _real(self.trajectory.radius)
+        grasp = np.abs(self.object.grasp_points).max(axis=0).tolist()
+        for center, offset, along in zip(self.trajectory.center.tolist(),
+                                         grasp, (reach, 0.0, reach)):
+            if not math.isfinite(abs(center) + along + offset):
+                raise ScenarioValidationError(
+                    f"peak grasp target {keys} must be finite")
         if not 0.0 < _real(self.dt) < math.inf:
             raise ScenarioValidationError("dt must be positive and finite")
         if not _whole(self.cycles) or self.cycles < 1:

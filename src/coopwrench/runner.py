@@ -24,8 +24,9 @@ from .config import ObjectState, scenario_dict
 from .dynamics import inverse_dynamics, object_desired_wrench
 from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
                     allocate_proportional, counterbalance_moment)
-from .kinematics import (JointState, differential_ik, ee_pose_from_object,
-                         ik_planar3r, jacobian, joint_positions)
+from .kinematics import (JOINT_AXIS, JointState, differential_ik,
+                         ee_pose_from_object, ik_planar3r, jacobian,
+                         joint_positions)
 
 _BETA_TOL = 1e-6
 
@@ -104,7 +105,8 @@ def _solve_ik_paths(config, states):
 def _step_sample(config, grasp_map, state, t, joints):
     """Run the capability pipeline for one time step.
 
-    ``joints`` holds each manipulator's joint positions at ``state``.
+    ``joints`` holds each manipulator's joint positions at ``state``; each
+    manipulator's problem is built once, and a pass changes only the moment.
     """
     h_d = object_desired_wrench(config.object, state, config.gravity)
     step_flags = set()
@@ -113,7 +115,7 @@ def _step_sample(config, grasp_map, state, t, joints):
     ee_twist = np.append(state.linear_velocity[::2], 0.0)
     ee_accel = np.append(state.linear_accel[::2], 0.0)
 
-    arms = []  # (Jacobian, its image of h_d, self-load, limits) per arm
+    problems = []
     for model, q in zip(config.manipulators, joints):
         motion = differential_ik(model, q, ee_twist, ee_accel)
         if motion.damped:
@@ -122,20 +124,14 @@ def _step_sample(config, grasp_map, state, t, joints):
             step_flags.add(FLAG_VELOCITY)
         tau_prime = inverse_dynamics(
             model, JointState(q, motion.qdot, motion.qddot), config.gravity)
-        jac = jacobian(model, q)
-        arms.append((jac, jac.T @ h_d, tau_prime, model.torque_limits))
+        problems.append(CapabilityProblem(
+            jt_hd=jacobian(model, q).T @ h_d, tau_prime=tau_prime,
+            tau_max=model.torque_limits))
 
     cap = config.unbounded_cap
-    count = len(arms)
-
-    def build_problems(h_delta):
-        return [CapabilityProblem(
-            jt_hd=jt_hd, jt_hdelta=jac.T @ h_delta,
-            tau_prime=tau_prime, tau_max=tau_max)
-            for jac, jt_hd, tau_prime, tau_max in arms]
-
+    count = len(problems)
     k0 = np.empty(count)
-    for a, problem in enumerate(build_problems(np.zeros(6))):
+    for a, problem in enumerate(problems):
         k0[a], flag = capability_scalar(problem, unbounded_cap=cap)
         if flag is not None:
             step_flags.add(flag)
@@ -160,11 +156,13 @@ def _step_sample(config, grasp_map, state, t, joints):
     for _ in range(config.beta_iterations + 1):
         weights = AllocationWeights(beta)
         t_delta, h_delta = counterbalance_moment(weights, grasp_map, h_d[:3])
-        problems = build_problems(h_delta)
+        moment = float(JOINT_AXIS @ h_delta[3:])  # alike at every joint
         if config.mode == "improved-joint":
-            improved = group_capability_joint(problems, unbounded_cap=cap)
+            improved = group_capability_joint(problems, moment,
+                                              unbounded_cap=cap)
         else:
-            improved = group_capability(problems, beta, unbounded_cap=cap)
+            improved = group_capability(problems, beta, moment,
+                                        unbounded_cap=cap)
         if improved.K1 <= 0.0:
             break
         refined = shares(improved.k)

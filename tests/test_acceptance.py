@@ -13,8 +13,9 @@ from coopwrench import (AllocationWeights, CapabilityProblem, GraspMap,
                         JointState, ManipulatorModel, TrajectorySpec,
                         capability_scalar, counterbalance_moment,
                         evaluate_trajectory, export, forward_kinematics,
-                        ik_planar3r, inverse_dynamics, jacobian,
-                        object_desired_wrench, object_wrench_from_ee,
+                        group_capability, ik_planar3r, inverse_dynamics,
+                        jacobian, object_desired_wrench,
+                        object_wrench_from_ee,
                         reference_scenario, asymmetric_scenario,
                         run_scenario, simplex_solve)
 from coopwrench.capability import FLAG_UNBOUNDED, DEFAULT_UNBOUNDED_CAP
@@ -96,7 +97,6 @@ def test_scalar_capability_matches_bisection():
         tau_max = rng.uniform(0.5, 2.0, n)
         problem = CapabilityProblem(
             jt_hd=np.where(rng.random(n) < 0.15, 0.0, rng.normal(size=n)),
-            jt_hdelta=np.zeros(n),
             tau_prime=rng.uniform(-0.95, 0.95, n) * tau_max,
             tau_max=tau_max,
         )
@@ -135,7 +135,6 @@ def test_simplex_cross_checks_scalar_solver():
         n = int(rng.integers(1, 7))
         problem = CapabilityProblem(
             jt_hd=np.where(rng.random(n) < 0.15, 0.0, rng.normal(size=n)),
-            jt_hdelta=np.zeros(n),
             tau_prime=rng.uniform(-0.9, 0.9, n),
             tau_max=rng.uniform(0.5, 2.0, n),
         )
@@ -258,12 +257,12 @@ def test_zero_compensation_reduces_to_baseline_bitwise(static_uniform):
     for _ in range(200):
         n = int(rng.integers(1, 7))
         problem = CapabilityProblem(
-            jt_hd=rng.normal(size=n), jt_hdelta=np.zeros(n),
-            tau_prime=rng.uniform(-0.9, 0.9, n),
+            jt_hd=rng.normal(size=n), tau_prime=rng.uniform(-0.9, 0.9, n),
             tau_max=rng.uniform(0.5, 2.0, n))
         plain = capability_scalar(problem)
-        shifted = capability_scalar(problem, alpha_i=float(rng.normal()))
-        assert shifted.k == plain.k and shifted.flag == plain.flag
+        shifted = group_capability([problem], [float(rng.normal())], 0.0)
+        assert shifted.k[0] == plain.k
+        assert shifted.flags == {plain.flag} - {None}
     both, baseline = static_uniform
     for improved, base in zip(both.samples, baseline.samples):
         assert improved.K1 == base.K0

@@ -5,6 +5,7 @@ predecessor, ``oracles.reference_group_capability_joint``.
 """
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,28 +29,34 @@ def random_problem(rng, n=None, zero_fraction=0.15):
     return CapabilityProblem(
         jt_hd=np.where(rng.random(n) < zero_fraction, 0.0,
                        rng.normal(size=n)),
-        jt_hdelta=rng.normal(size=n) * 0.4,
         tau_prime=rng.uniform(-0.95, 0.95, n) * tau_max,
         tau_max=tau_max,
     )
 
 
+def with_moment(problem, moment):
+    """The problem as the oracles read it: moment as a per-joint column."""
+    return SimpleNamespace(
+        jt_hd=problem.jt_hd, jt_hdelta=np.full(problem.joint_count, moment),
+        tau_prime=problem.tau_prime, tau_max=problem.tau_max,
+        joint_count=problem.joint_count)
+
+
 def test_single_row_hand_example():
-    problem = CapabilityProblem(jt_hd=[2.0], jt_hdelta=[0.0],
-                                tau_prime=[0.2], tau_max=[1.0])
+    problem = CapabilityProblem(jt_hd=[2.0], tau_prime=[0.2], tau_max=[1.0])
     result = capability_scalar(problem)
     assert result.k == pytest.approx(0.4, abs=1e-15)
     assert result.flag is None
 
 
 def test_zero_direction_rows_only_gate_feasibility():
-    free = CapabilityProblem(jt_hd=[0.0, 0.0], jt_hdelta=[0.0, 0.0],
+    free = CapabilityProblem(jt_hd=[0.0, 0.0],
                              tau_prime=[0.3, -0.2], tau_max=[1.0, 1.0])
     result = capability_scalar(free)
     assert result.k == DEFAULT_UNBOUNDED_CAP
     assert result.flag == FLAG_UNBOUNDED
 
-    violated = CapabilityProblem(jt_hd=[0.0, 1.0], jt_hdelta=[0.0, 0.0],
+    violated = CapabilityProblem(jt_hd=[0.0, 1.0],
                                  tau_prime=[1.5, 0.0], tau_max=[1.0, 1.0])
     result = capability_scalar(violated)
     assert result.k == 0.0
@@ -60,16 +67,15 @@ def test_exact_saturation():
     rng = np.random.default_rng(50)
     a = rng.normal(size=4)
     a[np.abs(a) < 0.1] = 0.5
-    problem = CapabilityProblem(jt_hd=a, jt_hdelta=np.zeros(4),
-                                tau_prime=np.zeros(4), tau_max=np.abs(a))
+    problem = CapabilityProblem(jt_hd=a, tau_prime=np.zeros(4),
+                                tau_max=np.abs(a))
     result = capability_scalar(problem)
     assert result.k == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lower_bounded_interval_still_maximizes():
     # zero scale violates the row, but a band of larger scales is feasible
-    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0],
-                                tau_prime=[-2.0], tau_max=[1.0])
+    problem = CapabilityProblem(jt_hd=[1.0], tau_prime=[-2.0], tau_max=[1.0])
     result = capability_scalar(problem)
     assert result.k == pytest.approx(3.0, abs=1e-15)
     assert result.flag is None
@@ -78,7 +84,7 @@ def test_lower_bounded_interval_still_maximizes():
 
 
 def test_empty_shifted_interval_is_infeasible():
-    problem = CapabilityProblem(jt_hd=[1.0, -1.0], jt_hdelta=[0.0, 0.0],
+    problem = CapabilityProblem(jt_hd=[1.0, -1.0],
                                 tau_prime=[-2.0, -2.0], tau_max=[1.0, 1.0])
     result = capability_scalar(problem)
     assert result.k == 0.0
@@ -86,8 +92,7 @@ def test_empty_shifted_interval_is_infeasible():
 
 
 def test_finite_bound_beyond_cap_is_flagged():
-    problem = CapabilityProblem(jt_hd=[1e-9], jt_hdelta=[0.0],
-                                tau_prime=[0.0], tau_max=[1.0])
+    problem = CapabilityProblem(jt_hd=[1e-9], tau_prime=[0.0], tau_max=[1.0])
     result = capability_scalar(problem, unbounded_cap=1e6)
     assert result.k == 1e6
     assert result.flag == FLAG_UNBOUNDED
@@ -119,16 +124,17 @@ def test_matches_bisection_oracle_with_delta():
         n = int(rng.integers(1, 7))
         tau_max = rng.uniform(0.5, 2.0, n)
         alpha_i = float(rng.uniform(-1.0, 1.5))
+        moment = float(rng.uniform(-1.0, 1.0)) * tau_max.min() / 3.0
         problem = CapabilityProblem(
             jt_hd=np.where(rng.random(n) < 0.15, 0.0, rng.normal(size=n)),
-            jt_hdelta=rng.uniform(-1.0, 1.0, n) * tau_max / 3.0,
             tau_prime=rng.uniform(-0.45, 0.45, n) * tau_max,
             tau_max=tau_max,
         )
-        result = capability_scalar(problem, alpha_i=alpha_i)
+        result = capability_scalar(problem, moment=alpha_i * moment)
         if result.flag == FLAG_UNBOUNDED:
             continue
-        expected = bisect_capability(problem, use_delta=True, alpha_i=alpha_i)
+        expected = bisect_capability(with_moment(problem, moment),
+                                     use_delta=True, alpha_i=alpha_i)
         assert abs(result.k - expected) <= 1e-8
         compared += 1
     assert compared > 200
@@ -143,8 +149,8 @@ def test_scale_invariance():
             continue
         for scale in (0.5, 2.0, 7.0):
             scaled = CapabilityProblem(
-                jt_hd=scale * problem.jt_hd, jt_hdelta=problem.jt_hdelta,
-                tau_prime=problem.tau_prime, tau_max=problem.tau_max)
+                jt_hd=scale * problem.jt_hd, tau_prime=problem.tau_prime,
+                tau_max=problem.tau_max)
             rescaled = capability_scalar(scaled)
             assert rescaled.k == pytest.approx(result.k / scale, rel=1e-12)
 
@@ -155,8 +161,7 @@ def test_monotone_in_torque_limits():
         problem = random_problem(rng)
         k = capability_scalar(problem).k
         relaxed = CapabilityProblem(
-            jt_hd=problem.jt_hd, jt_hdelta=problem.jt_hdelta,
-            tau_prime=problem.tau_prime,
+            jt_hd=problem.jt_hd, tau_prime=problem.tau_prime,
             tau_max=problem.tau_max + rng.uniform(0.0, 1.0,
                                                   problem.joint_count))
         assert capability_scalar(relaxed).k >= k - 1e-12
@@ -166,14 +171,13 @@ def test_reduction_identity_bitwise():
     rng = np.random.default_rng(55)
     for _ in range(100):
         problem = random_problem(rng)
-        zeroed = CapabilityProblem(
-            jt_hd=problem.jt_hd, jt_hdelta=np.zeros(problem.joint_count),
-            tau_prime=problem.tau_prime, tau_max=problem.tau_max)
+        moment = float(rng.normal()) * 0.4
         baseline = capability_scalar(problem)
-        with_zero_delta = capability_scalar(zeroed, alpha_i=0.7)
-        with_zero_alpha = capability_scalar(problem, alpha_i=0.0)
-        assert with_zero_delta.k == baseline.k
-        assert with_zero_alpha.k == baseline.k
+        with_zero_delta = group_capability([problem], [0.7], 0.0)
+        with_zero_alpha = group_capability([problem], [0.0], moment)
+        assert capability_scalar(problem, moment=0.0).k == baseline.k
+        assert with_zero_delta.k[0] == baseline.k
+        assert with_zero_alpha.k[0] == baseline.k
 
 
 def test_feasible_wrench_check_brackets_the_optimum():
@@ -188,11 +192,9 @@ def test_feasible_wrench_check_brackets_the_optimum():
 
 
 def test_feasible_wrench_check_zero_scale():
-    ok = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.5],
-                           tau_max=[1.0])
+    ok = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.5], tau_max=[1.0])
     assert feasible_wrench_check(ok, 0.0)
-    overloaded = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0],
-                                   tau_prime=[1.5], tau_max=[1.0])
+    overloaded = CapabilityProblem(jt_hd=[1.0], tau_prime=[1.5], tau_max=[1.0])
     assert not feasible_wrench_check(overloaded, 0.0)
     assert not feasible_wrench_check(overloaded, 0.3)
 
@@ -200,45 +202,44 @@ def test_feasible_wrench_check_zero_scale():
 def test_group_capability_sums_scalars():
     rng = np.random.default_rng(57)
     problems = [random_problem(rng, n=3) for _ in range(4)]
-    sample = group_capability(problems, np.full(4, 0.25))
-    expected = [capability_scalar(p, alpha_i=0.25).k for p in problems]
+    moment = float(rng.normal()) * 0.4
+    sample = group_capability(problems, np.full(4, 0.25), moment)
+    expected = [capability_scalar(p, moment=0.25 * moment).k
+                for p in problems]
     np.testing.assert_array_equal(sample.k, expected)
     assert sample.K1 == pytest.approx(sum(expected), abs=0.0)
     assert sample.K1 == pytest.approx(float(np.sum(sample.k)), abs=0.0)
 
 
 def test_group_capability_single_arm_reduction():
-    problem = CapabilityProblem(jt_hd=[2.0], jt_hdelta=[0.0],
-                                tau_prime=[0.2], tau_max=[1.0])
-    sample = group_capability([problem], np.array([1.0]))
+    problem = CapabilityProblem(jt_hd=[2.0], tau_prime=[0.2], tau_max=[1.0])
+    sample = group_capability([problem], np.array([1.0]), 0.0)
     assert sample.K1 == pytest.approx(0.4, abs=1e-15)
 
 
 def test_group_capability_zero_delta_reduces_to_baseline():
     rng = np.random.default_rng(58)
     problems = [
-        CapabilityProblem(jt_hd=rng.normal(size=3), jt_hdelta=np.zeros(3),
+        CapabilityProblem(jt_hd=rng.normal(size=3),
                           tau_prime=rng.uniform(-0.5, 0.5, 3),
                           tau_max=np.ones(3))
         for _ in range(4)
     ]
     baseline = [capability_scalar(p).k for p in problems]
-    improved = group_capability(problems, np.full(4, 0.25))
+    improved = group_capability(problems, np.full(4, 0.25), 0.0)
     np.testing.assert_array_equal(improved.k, baseline)
     assert improved.K1 == float(np.sum(baseline))
 
 
 def test_group_capability_flags_propagate():
-    bad = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[2.0],
-                            tau_max=[1.0])
-    good = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
-                             tau_max=[1.0])
-    sample = group_capability([bad, good], np.array([0.5, 0.5]))
+    bad = CapabilityProblem(jt_hd=[1.0], tau_prime=[2.0], tau_max=[1.0])
+    good = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0])
+    sample = group_capability([bad, good], np.array([0.5, 0.5]), 0.0)
     assert FLAG_INFEASIBLE in sample.flags
     np.testing.assert_array_equal(sample.k, [0.0, 1.0])
 
 
-def grid_search_joint(problems, alphas, cap=DEFAULT_UNBOUNDED_CAP):
+def grid_search_joint(problems, moment, alphas, cap=DEFAULT_UNBOUNDED_CAP):
     """Oracle: exhaustive scan of the two-arm compensation split.
 
     Vectorized over the whole alpha grid; a split where any arm cannot even
@@ -249,9 +250,10 @@ def grid_search_joint(problems, alphas, cap=DEFAULT_UNBOUNDED_CAP):
     totals = np.zeros_like(alphas)
     valid = np.ones_like(alphas, dtype=bool)
     for problem, share in zip(problems, (alphas, 1.0 - alphas)):
+        column = with_moment(problem, moment).jt_hdelta
         a = problem.jt_hd[:, None]
         offsets = problem.tau_prime[:, None] \
-            + share[None, :] * problem.jt_hdelta[:, None]
+            + share[None, :] * column[:, None]
         tau = problem.tau_max[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             end1 = (tau - offsets) / a
@@ -271,16 +273,16 @@ def grid_search_joint(problems, alphas, cap=DEFAULT_UNBOUNDED_CAP):
 
 def test_joint_mode_matches_grid_search():
     problems = [
-        CapabilityProblem(jt_hd=[1.0, 0.5], jt_hdelta=[0.6, -0.2],
-                          tau_prime=[0.1, -0.05], tau_max=[1.0, 1.0]),
-        CapabilityProblem(jt_hd=[0.8, -0.4], jt_hdelta=[-0.5, 0.3],
-                          tau_prime=[0.0, 0.1], tau_max=[1.0, 1.0]),
+        CapabilityProblem(jt_hd=[1.0, 0.5], tau_prime=[0.1, -0.05],
+                          tau_max=[1.0, 1.0]),
+        CapabilityProblem(jt_hd=[0.8, -0.4], tau_prime=[0.0, 0.1],
+                          tau_max=[1.0, 1.0]),
     ]
     alphas = np.linspace(-8.0, 9.0, 170001)
-    expected, valid = grid_search_joint(problems, alphas)
+    expected, valid = grid_search_joint(problems, 0.3, alphas)
     # feasible split range sits strictly inside the scanned window
     assert not valid[0] and not valid[-1]
-    sample = group_capability_joint(problems)
+    sample = group_capability_joint(problems, 0.3)
     assert sample.K1 == pytest.approx(expected, abs=1e-3)
     assert abs(np.sum(sample.alpha) - 1.0) <= 1e-9
 
@@ -288,52 +290,58 @@ def test_joint_mode_matches_grid_search():
 def test_joint_mode_zero_delta_equals_baseline_sum():
     rng = np.random.default_rng(59)
     problems = [
-        CapabilityProblem(jt_hd=rng.normal(size=3), jt_hdelta=np.zeros(3),
+        CapabilityProblem(jt_hd=rng.normal(size=3),
                           tau_prime=rng.uniform(-0.5, 0.5, 3),
                           tau_max=np.ones(3))
         for _ in range(3)
     ]
     k0 = sum(capability_scalar(p).k for p in problems)
-    sample = group_capability_joint(problems)
+    sample = group_capability_joint(problems, 0.0)
     assert sample.K1 == pytest.approx(k0, abs=1e-9)
 
 
 def test_joint_mode_dominates_fixed_alpha():
+    # a fixed split is a point of the joint program only if every arm can
+    # carry its share there; an infeasible arm adds 0 and the rest still sum
     rng = np.random.default_rng(60)
+    compared = 0
     for _ in range(30):
         problems = [random_problem(rng, n=3, zero_fraction=0.0)
                     for _ in range(3)]
         beta = rng.uniform(0.1, 1.0, 3)
         beta /= beta.sum()
-        fixed = group_capability(problems, beta)
-        joint = group_capability_joint(problems)
-        if FLAG_UNBOUNDED in fixed.flags or FLAG_UNBOUNDED in joint.flags:
+        moment = float(rng.normal()) * 0.4
+        fixed = group_capability(problems, beta, moment)
+        joint = group_capability_joint(problems, moment)
+        if fixed.flags or FLAG_UNBOUNDED in joint.flags:
             continue
         assert joint.K1 >= fixed.K1 - 1e-9
+        compared += 1
+    assert compared >= 25
 
 
 def test_joint_mode_caps_unbounded_scales():
     problems = [
-        CapabilityProblem(jt_hd=[0.0, 0.0], jt_hdelta=[0.1, -0.1],
-                          tau_prime=[0.0, 0.0], tau_max=[1.0, 1.0]),
-        CapabilityProblem(jt_hd=[1.0, 0.5], jt_hdelta=[0.2, 0.1],
-                          tau_prime=[0.0, 0.0], tau_max=[1.0, 1.0]),
+        CapabilityProblem(jt_hd=[0.0, 0.0], tau_prime=[0.0, 0.0],
+                          tau_max=[1.0, 1.0]),
+        CapabilityProblem(jt_hd=[1.0, 0.5], tau_prime=[0.0, 0.0],
+                          tau_max=[1.0, 1.0]),
     ]
-    sample = group_capability_joint(problems, unbounded_cap=100.0)
+    sample = group_capability_joint(problems, 0.1, unbounded_cap=100.0)
     assert FLAG_UNBOUNDED in sample.flags
     assert sample.k[0] == pytest.approx(100.0, rel=1e-9)
 
 
 def test_joint_mode_infeasible_split():
-    # first arm is overloaded by its own weight and no split can help:
-    # its compensation column is zero and its scale can only push further
+    # first arm is overloaded by its own weight at both joints, pulling
+    # opposite ways: one needs a positive share of the moment, the other a
+    # negative one once its scale pushes further, so no split can help
     problems = [
-        CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[1.5],
-                          tau_max=[1.0]),
-        CapabilityProblem(jt_hd=[1.0], jt_hdelta=[-1.0], tau_prime=[0.0],
-                          tau_max=[1.0]),
+        CapabilityProblem(jt_hd=[1.0, 0.0], tau_prime=[1.5, -1.5],
+                          tau_max=[1.0, 1.0]),
+        CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0]),
     ]
-    sample = group_capability_joint(problems)
+    sample = group_capability_joint(problems, -1.0)
     assert FLAG_INFEASIBLE in sample.flags
     assert sample.K1 == 0.0
     np.testing.assert_array_equal(sample.k, np.zeros(2))
@@ -341,65 +349,77 @@ def test_joint_mode_infeasible_split():
 
 def test_problem_validation():
     with pytest.raises(ScenarioValidationError):
-        CapabilityProblem(jt_hd=[1.0, 2.0], jt_hdelta=[0.0],
-                          tau_prime=[0.0, 0.0], tau_max=[1.0, 1.0])
+        CapabilityProblem(jt_hd=[1.0, 2.0], tau_prime=[0.0],
+                          tau_max=[1.0, 1.0])
     with pytest.raises(ScenarioValidationError):
-        CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
-                          tau_max=[0.0])
+        CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[0.0])
     with pytest.raises(ScenarioValidationError):
-        CapabilityProblem(jt_hd=[np.nan], jt_hdelta=[0.0], tau_prime=[0.0],
-                          tau_max=[1.0])
+        CapabilityProblem(jt_hd=[np.nan], tau_prime=[0.0], tau_max=[1.0])
 
 
-def test_capability_api_takes_alpha_by_keyword_only():
-    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.5], tau_prime=[0.0],
-                                tau_max=[1.0])
+def test_capability_api_takes_moment_by_keyword_only():
+    problem = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0])
     with pytest.raises(TypeError):
-        capability_scalar(problem, 0.5)
-    assert capability_scalar(problem, alpha_i=0.5).k == 0.75
+        capability_scalar(problem, 0.25)
+    with pytest.raises(TypeError):
+        capability_scalar(problem, alpha_i=0.5)
+    with pytest.raises(TypeError):
+        CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.5], tau_prime=[0.0],
+                          tau_max=[1.0])
+    assert capability_scalar(problem, moment=0.25).k == 0.75
 
 
 def test_group_capability_rejects_wrong_share_count():
     rng = np.random.default_rng(61)
     problems = [random_problem(rng, n=3) for _ in range(4)]
     with pytest.raises(ValueError):
-        group_capability(problems, [0.5, 0.5])
+        group_capability(problems, [0.5, 0.5], 0.1)
     with pytest.raises(ValueError):
-        group_capability(problems[:1], [0.5, 0.5])
+        group_capability(problems[:1], [0.5, 0.5], 0.1)
 
 
 def test_group_solves_take_no_pass_through_arguments():
-    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.0], tau_prime=[0.0],
-                                tau_max=[1.0])
+    problem = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0])
     for extra in ({"time": 0.0}, {"t_delta": np.zeros(3)}):
         with pytest.raises(TypeError):
-            group_capability([problem], [1.0], **extra)
+            group_capability([problem], [1.0], 0.0, **extra)
         with pytest.raises(TypeError):
-            group_capability_joint([problem], **extra)
+            group_capability_joint([problem], 0.0, **extra)
     with pytest.raises(TypeError):
-        group_capability_joint([problem], beta=[1.0])
+        group_capability_joint([problem], 0.0, beta=[1.0])
     with pytest.raises(TypeError):
-        group_capability_joint([problem], [1.0])
+        group_capability_joint([problem], 0.0, [1.0])
 
 
-@pytest.mark.parametrize("alpha_i", [np.nan, np.inf, -np.inf])
-def test_non_finite_share_is_rejected(alpha_i):
-    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.5], tau_prime=[0.0],
-                                tau_max=[1.0])
-    with pytest.raises(ValueError, match="alpha_i"):
-        capability_scalar(problem, alpha_i=alpha_i)
-    with pytest.raises(ValueError, match="alpha_i"):
-        group_capability([problem, problem], [alpha_i, 1.0])
+@pytest.mark.parametrize("share", [np.nan, np.inf, -np.inf])
+def test_non_finite_share_is_rejected(share):
+    problem = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0])
+    # named as a share even where share * moment would blame the moment
+    for moment in (0.5, 0.0):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            group_capability([problem, problem], [share, 1.0], moment)
+
+
+@pytest.mark.parametrize("moment", [
+    np.nan, np.inf, -np.inf, True, "0.5", None, np.array(0.5),
+    np.array([0.5])])
+def test_moment_must_be_a_finite_real_number(moment):
+    problem = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0])
+    for solve in (lambda: capability_scalar(problem, moment=moment),
+                  lambda: group_capability([problem], [1.0], moment),
+                  lambda: group_capability_joint([problem], moment)):
+        with pytest.raises(ValueError, match="moment must be a finite real"):
+            solve()
 
 
 @pytest.mark.parametrize("cap", [-1.0, 0.0, np.nan, np.inf])
 def test_cap_must_be_positive_and_finite(cap):
-    problem = CapabilityProblem(jt_hd=[1.0], jt_hdelta=[0.5], tau_prime=[0.0],
-                                tau_max=[1.0])
-    for solve in (lambda: capability_scalar(problem, unbounded_cap=cap),
-                  lambda: group_capability([problem], [1.0],
+    problem = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0])
+    for solve in (lambda: capability_scalar(problem, moment=0.5,
+                                            unbounded_cap=cap),
+                  lambda: group_capability([problem], [1.0], 0.5,
                                            unbounded_cap=cap),
-                  lambda: group_capability_joint([problem],
+                  lambda: group_capability_joint([problem], 0.5,
                                                  unbounded_cap=cap)):
         with pytest.raises(ValueError, match="unbounded_cap"):
             solve()
@@ -429,13 +449,13 @@ def test_joint_matches_frozen_reference_on_random_groups():
             problems.append(CapabilityProblem(
                 jt_hd=np.where(rng.random(n) < 0.3, 0.0,
                                rng.normal(size=n).round(2)),
-                jt_hdelta=rng.normal(size=n).round(2) * 0.4,
                 tau_prime=rng.uniform(-1.2, 1.2, n).round(2) * tau_max,
                 tau_max=tau_max))
+        moment = round(float(rng.normal()), 2) * 0.4
         cap = float(rng.choice([DEFAULT_UNBOUNDED_CAP, 3.0]))
-        result = group_capability_joint(problems, unbounded_cap=cap)
+        result = group_capability_joint(problems, moment, unbounded_cap=cap)
         assert_same_group_capability(result, reference_group_capability_joint(
-            problems, unbounded_cap=cap))
+            [with_moment(p, moment) for p in problems], unbounded_cap=cap))
         flags |= result.flags or {None}
     assert flags == {None, FLAG_INFEASIBLE, FLAG_UNBOUNDED}
 
@@ -450,10 +470,10 @@ def test_joint_matches_frozen_reference_along_built_in_paths(scenario,
     """
     solves = []
 
-    def checked_joint(problems, **kwargs):
-        result = solve_joint(problems, **kwargs)
-        assert_same_group_capability(
-            result, reference_group_capability_joint(problems, **kwargs))
+    def checked_joint(problems, moment, **kwargs):
+        result = solve_joint(problems, moment, **kwargs)
+        assert_same_group_capability(result, reference_group_capability_joint(
+            [with_moment(p, moment) for p in problems], **kwargs))
         solves.append(result)
         return result
 

@@ -205,6 +205,31 @@ def test_overflowing_object_force_fails_validate_and_run_alike(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("edits", [
+    [("center: [0.35, 0.0, 0.35]", "center: [1.7e+308, 0.0, 0.35]"),
+     ("radius: 0.05", "radius: 1.0e+308"),
+     ("angular_rate: 1.2566370614359172", "angular_rate: 1.0e-200"),
+     ("dt: 0.01", "dt: 1.0e+300")],
+    [("center: [0.35, 0.0, 0.35]", "center: [1.0e+308, 0.0, 0.35]"),
+     ("- [0.1, 0.0, 0.0]", "- [1.0e+308, 0.0, 0.0]")],
+])
+def test_overflowing_grasp_target_fails_validate_and_run_alike(
+        tmp_path, capsys, edits):
+    text = REFERENCE_SCENARIO_TEXT
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = write_scenario(tmp_path, text)
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "x")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("peak grasp target |trajectory center| + radius + "
+                     "|grasp_points| must be finite") == 2
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_oversized_grid_exits_before_allocating(tmp_path, capsys,
                                                     monkeypatch):
     def no_grid(config):

@@ -287,6 +287,47 @@ def test_peak_object_force_checks_an_integer_rate_only_on_a_circle():
     assert dataclasses.replace(config, trajectory=hold).trajectory is hold
 
 
+CIRCLE_TARGET = ("peak grasp target |trajectory center| + radius + "
+                 "|grasp_points| must be finite")
+HOLD_TARGET = "peak grasp target |trajectory center| + |grasp_points| " \
+    "must be finite"
+
+
+def far_doc(kind, center, radius, grasp=None):
+    """The reference scenario moved far out, on a grid of a few steps."""
+    doc = scenario_dict(reference_scenario())
+    doc["trajectory"].update(kind=kind, center=center, radius=radius,
+                             angular_rate=1e-200)
+    doc["dt"] = 1e300
+    if grasp is not None:
+        doc["object"]["grasp_points"][0] = grasp
+    return doc
+
+
+@pytest.mark.parametrize("kind,center,radius,grasp,message", [
+    ("circle", [1.7e308, 0.0, 0.35], 1e308, None, CIRCLE_TARGET),
+    ("circle", [0.35, 0.0, -1.7e308], 1e308, None, CIRCLE_TARGET),
+    ("circle", [1e308, 0.0, 0.35], 0.05, [1e308, 0.0, 0.0], CIRCLE_TARGET),
+    ("circle", [0.35, 1e308, 0.35], 0.05, [0.0, -1e308, 0.0], CIRCLE_TARGET),
+    ("static-hold", [1e308, 0.0, 0.35], 0.0, [1e308, 0.0, 0.0],
+     HOLD_TARGET),
+])
+def test_overflowing_grasp_target_rejected_at_parse_time(
+        kind, center, radius, grasp, message):
+    with pytest.raises(ScenarioValidationError) as info:
+        reparse(far_doc(kind, center, radius, grasp))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind,center", [
+    ("circle", [0.35, 1.7e308, 0.35]),  # the circle stays in its plane
+    ("static-hold", [1.7e308, 0.0, 0.35]),  # a hold never reads the radius
+])
+def test_grasp_target_reach_follows_the_motion(kind, center):
+    config = reparse(far_doc(kind, center, 1e308))
+    assert config.trajectory.center.tolist() == center
+
+
 @pytest.mark.parametrize("build,field", [
     (lambda: TrajectorySpec(kind="circle", radius=0.05,
                             angular_rate=math.nan), "angular_rate"),

@@ -297,6 +297,23 @@ def test_kinematics_match_frozen_reference_bit_for_bit(arm):
     assert damped > 0
 
 
+@pytest.mark.parametrize("arm", BUILT_IN_ARMS)
+def test_pure_moment_loads_every_joint_alike(arm):
+    """J^T [0; m] is JOINT_AXIS @ m at every joint, exactly.
+
+    The capability solves carry the compensating moment as that one
+    scalar, which holds only while every joint axis is JOINT_AXIS.
+    """
+    rng = np.random.default_rng(100 + arm.id)
+    for i in range(400):
+        q = rng.uniform(-np.pi, np.pi, 3)
+        if i % 2:
+            q[1] = rng.choice([0.0, np.pi, -np.pi]) + rng.uniform(-1e-7, 1e-7)
+        m = rng.uniform(0.1, 10.0, 3) * rng.choice([-1.0, 1.0], 3)
+        assert np.array_equal(jacobian(arm, q).T @ np.r_[np.zeros(3), m],
+                              np.full(3, JOINT_AXIS @ m))
+
+
 @pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
 def test_kinematics_match_frozen_reference_along_ik_paths(scenario):
     config = scenario()

@@ -203,6 +203,23 @@ def test_baseline_mode_solves_each_arm_once_per_step(monkeypatch):
     assert len(calls) == arms * len(result.samples) == 4 * 11
 
 
+@pytest.mark.parametrize("mode", ["improved-joint", "improved-fixed-alpha"])
+def test_each_arm_problem_is_built_once_per_step(monkeypatch, mode):
+    built = []
+    problem = runner.CapabilityProblem
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return problem(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "CapabilityProblem", counted)
+    result = run_scenario(dataclasses.replace(
+        asymmetric_scenario(), mode=mode, dt=0.5, cycles=1,
+        beta_iterations=2))
+    arms = len(result.config.manipulators)
+    assert len(built) == arms * len(result.samples) == 4 * 11
+
+
 def test_run_scenario_has_no_thread_option():
     with pytest.raises(TypeError):
         run_scenario(reference_scenario(), threads=2)

@@ -160,7 +160,6 @@ def test_cross_check_against_analytic_scalar_solver():
         n = int(rng.integers(1, 7))
         problem = CapabilityProblem(
             jt_hd=np.where(rng.random(n) < 0.15, 0.0, rng.normal(size=n)),
-            jt_hdelta=np.zeros(n),
             tau_prime=rng.uniform(-0.9, 0.9, n),
             tau_max=rng.uniform(0.5, 2.0, n),
         )
