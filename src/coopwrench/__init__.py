@@ -10,19 +10,16 @@ points.
 from .capability import (FLAG_INFEASIBLE, FLAG_SINGULAR, FLAG_UNBOUNDED,
                          FLAG_VELOCITY, CapabilityProblem, CapabilitySample,
                          GroupCapability, capability_scalar,
-                         feasible_wrench_check, group_capability,
-                         group_capability_joint)
+                         group_capability, group_capability_joint)
 from .config import (MODES, SCHEMA_VERSION, ManipulatorModel, ObjectState,
                      RigidObjectModel, ScenarioConfig, ScenarioError,
                      ScenarioSyntaxError, ScenarioValidationError,
                      TrajectorySpec, asymmetric_scenario,
                      cuboid_inertia, parse_scenario, reference_scenario,
                      scenario_dict, serialize_scenario)
-from .dynamics import (gravity_vector, inverse_dynamics, mass_matrix,
-                       object_desired_wrench)
+from .dynamics import inverse_dynamics, object_desired_wrench
 from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
-                    allocate_proportional, counterbalance_moment,
-                    grasp_matrix, object_wrench_from_ee, skew)
+                    allocate_proportional, counterbalance_moment)
 from .kinematics import (JointState, Pose, differential_ik,
                          ee_pose_from_object, forward_kinematics, ik_planar3r,
                          jacobian, joint_positions)
@@ -46,11 +43,9 @@ __all__ = [
     "capability_scalar", "counterbalance_moment", "cuboid_inertia",
     "differential_ik", "ee_pose_from_object", "emit_plot_data",
     "evaluate_trajectory",
-    "export", "feasible_wrench_check", "forward_kinematics",
-    "gravity_vector", "grasp_matrix", "group_capability",
+    "export", "forward_kinematics", "group_capability",
     "group_capability_joint", "ik_planar3r", "inverse_dynamics", "jacobian",
-    "joint_positions", "mass_matrix", "object_desired_wrench",
-    "object_wrench_from_ee", "parse_scenario", "reference_scenario",
-    "result_dict", "run_scenario", "scenario_dict", "serialize_scenario",
-    "simplex_solve", "skew", "summarize", "time_grid",
+    "joint_positions", "object_desired_wrench", "parse_scenario",
+    "reference_scenario", "result_dict", "run_scenario", "scenario_dict",
+    "serialize_scenario", "simplex_solve", "summarize", "time_grid",
 ]

@@ -131,12 +131,6 @@ def capability_scalar(problem, *, moment=0.0,
     return ScalarCapability(upper, None)
 
 
-def feasible_wrench_check(problem, k):
-    """Whether k times the desired wrench keeps every joint in its limit."""
-    load = problem.tau_prime + k * problem.jt_hd
-    return bool(np.all(np.abs(load) <= problem.tau_max))
-
-
 class GroupCapability(NamedTuple):
     """Per-manipulator scales, the compensation shares used, and flags."""
 
@@ -155,15 +149,22 @@ def group_capability(problems, alpha, moment, *,
 
     Manipulator i is offset by its share alpha[i] * moment of the
     compensating moment; the summed scalar is K1.  alpha needs one finite
-    share per problem and moment must be finite (ValueError otherwise).
+    share per problem, and moment and every alpha[i] * moment must be
+    finite (ValueError otherwise).
     """
     moment = _check_moment(moment)
     shares = np.asarray(alpha, dtype=float)
     if not np.isfinite(shares).all():
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    solves = [capability_scalar(problem, moment=float(alpha_i) * moment,
-                                unbounded_cap=unbounded_cap)
-              for problem, alpha_i in zip(problems, shares, strict=True)]
+    solves = []
+    for i, (problem, alpha_i) in enumerate(zip(problems, shares.tolist(),
+                                               strict=True)):
+        offset = alpha_i * moment
+        if not math.isfinite(offset):
+            raise ValueError(f"alpha[{i}] * moment must be finite, got "
+                             f"{alpha_i!r} * {moment!r}")
+        solves.append(capability_scalar(problem, moment=offset,
+                                        unbounded_cap=unbounded_cap))
     return GroupCapability(
         np.array([solve.k for solve in solves], dtype=float), shares,
         frozenset(solve.flag for solve in solves if solve.flag is not None))

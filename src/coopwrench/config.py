@@ -390,6 +390,10 @@ def _complete(cls, values, context):
     return values
 
 
+# The pure-Python loader on purpose: libyaml's CSafeLoader (PyYAML 6.0.3,
+# 2-core VM) parsed the cli-baseline-long scenario in 0.56 ms against 4.45
+# ms, but crashed the interpreter (exit 139) at 50 000 and 100 000 levels of
+# nesting, where this loader raises RecursionError; 20 000 levels parsed.
 class _ScenarioLoader(yaml.SafeLoader):
     """Safe YAML loading that rejects a key repeated within one mapping.
 

@@ -14,8 +14,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .kinematics import JointState
-
 
 def inverse_dynamics(model, state, gravity):
     """Joint torques carrying the chain itself through the given state.
@@ -57,22 +55,6 @@ def inverse_dynamics(model, state, gravity):
         force_z += inertial_z
         torques[i] = moment
     return torques
-
-
-def mass_matrix(model, q):
-    """Joint-space inertia matrix, assembled column by column."""
-    q = np.asarray(q, dtype=float)
-    zero = np.zeros(q.size)
-    return np.column_stack([
-        inverse_dynamics(model, JointState(q, zero, unit), gravity=0.0)
-        for unit in np.eye(q.size)])
-
-
-def gravity_vector(model, q, gravity):
-    """Joint torques holding the chain static under gravity."""
-    q = np.asarray(q, dtype=float)
-    zero = np.zeros(q.size)
-    return inverse_dynamics(model, JointState(q, zero, zero), gravity)
 
 
 def object_desired_wrench(obj, state, gravity):

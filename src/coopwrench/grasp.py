@@ -1,10 +1,10 @@
 """Grasp geometry: wrench transmission and load-share bookkeeping.
 
-Each grasp point contributes to the object wrench through a 6x6 map built
-from the cross-product matrix of its world-frame offset from the object CoM.
-Shares split the desired wrench among manipulators; any share-weighted
-centroid offset from the CoM turns force into an induced moment, which the
-counterbalance machinery hands back to the group as a compensating wrench.
+A grasp wrench [f; m] reaches the object CoM as [f; m + r x f], where r is
+the grasp point's world-frame offset from the CoM.  Shares split the
+desired wrench among manipulators; any share-weighted centroid offset from
+the CoM turns force into an induced moment, which the counterbalance
+machinery hands back to the group as a compensating wrench.
 """
 from __future__ import annotations
 
@@ -19,33 +19,12 @@ class ZeroCapabilityError(ValueError):
     """Proportional shares are undefined when the group has zero capability."""
 
 
-def skew(vec):
-    """Cross-product matrix: skew(a) @ b == cross(a, b)."""
-    x, y, z = np.asarray(vec, dtype=float)
-    return np.array([[0.0, -z, y],
-                     [z, 0.0, -x],
-                     [-y, x, 0.0]])
-
-
-def grasp_matrix(grasp_vector):
-    """6x6 map from a grasp-point wrench to the object-frame wrench.
-
-    Top rows pass force through unchanged; the lower-left block adds the
-    moment of the force about the object CoM.
-    """
-    G = np.eye(6)
-    G[3:, :3] = skew(grasp_vector)
-    return G
-
-
 @dataclass(frozen=True, eq=False)
 class GraspMap:
     """World-frame grasp geometry of the carried object.
 
     ``grasp_vectors`` are the CoM-to-grasp-point offsets in the world; the
     object does not rotate, so they equal its body-frame grasp points.
-    The module function ``grasp_matrix`` maps each one to its transmission
-    matrix.
     """
 
     grasp_vectors: np.ndarray
@@ -68,18 +47,6 @@ class GraspMap:
     @property
     def count(self):
         return self.grasp_vectors.shape[0]
-
-
-def object_wrench_from_ee(grasp_map, wrenches):
-    """Total object wrench [f; m] from one grasp wrench [f; m] per row."""
-    wrenches = np.asarray(wrenches, dtype=float)
-    if wrenches.shape != (grasp_map.count, 6):
-        raise ValueError(f"wrenches must have shape ({grasp_map.count}, 6), "
-                         f"got {wrenches.shape}")
-    total = np.zeros(6)
-    for r, wrench in zip(grasp_map.grasp_vectors, wrenches):
-        total += grasp_matrix(r) @ wrench
-    return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,13 @@ frozen verbatim when the step path was rewritten, and ``reference_simplex_solve`
 and ``reference_group_capability_joint`` are the row-by-row assembly of the
 joint program and its standard form, frozen when both were rewritten as
 whole-array builds; each rewrite is held to the same output bits.
+
+The last six functions are cross-checks that no run needs, so they live
+here and not in the package: ``mass_matrix`` and ``gravity_vector``
+assemble the joint-space terms from the package's ``inverse_dynamics``,
+``skew``, ``grasp_matrix`` and ``object_wrench_from_ee`` transmit grasp
+wrenches through explicit 6x6 maps, and ``feasible_wrench_check`` tests one
+wrench scale against every torque limit.
 """
 from itertools import combinations
 
@@ -19,6 +26,7 @@ import numpy as np
 from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
                                    GroupCapability)
 from coopwrench.config import DEFAULT_UNBOUNDED_CAP
+from coopwrench.dynamics import inverse_dynamics
 from coopwrench.kinematics import DifferentialIk, JointState
 from coopwrench.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                                 SimplexResult)
@@ -484,3 +492,57 @@ def reference_group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDE
     capped = np.any(k >= unbounded_cap * (1.0 - 1e-9))
     return GroupCapability(k, result.x[count:].copy(),
                            frozenset({FLAG_UNBOUNDED} if capped else ()))
+
+
+# Cross-checks of the dynamics, the grasp map and the scalar solve.
+def mass_matrix(model, q):
+    """Joint-space inertia matrix, assembled column by column."""
+    q = np.asarray(q, dtype=float)
+    zero = np.zeros(q.size)
+    return np.column_stack([
+        inverse_dynamics(model, JointState(q, zero, unit), gravity=0.0)
+        for unit in np.eye(q.size)])
+
+
+def gravity_vector(model, q, gravity):
+    """Joint torques holding the chain static under gravity."""
+    q = np.asarray(q, dtype=float)
+    zero = np.zeros(q.size)
+    return inverse_dynamics(model, JointState(q, zero, zero), gravity)
+
+
+def skew(vec):
+    """Cross-product matrix: skew(a) @ b == cross(a, b)."""
+    x, y, z = np.asarray(vec, dtype=float)
+    return np.array([[0.0, -z, y],
+                     [z, 0.0, -x],
+                     [-y, x, 0.0]])
+
+
+def grasp_matrix(grasp_vector):
+    """6x6 map from a grasp-point wrench to the object-frame wrench.
+
+    Top rows pass force through unchanged; the lower-left block adds the
+    moment of the force about the object CoM.
+    """
+    G = np.eye(6)
+    G[3:, :3] = skew(grasp_vector)
+    return G
+
+
+def object_wrench_from_ee(grasp_map, wrenches):
+    """Total object wrench [f; m] from one grasp wrench [f; m] per row."""
+    wrenches = np.asarray(wrenches, dtype=float)
+    if wrenches.shape != (grasp_map.count, 6):
+        raise ValueError(f"wrenches must have shape ({grasp_map.count}, 6), "
+                         f"got {wrenches.shape}")
+    total = np.zeros(6)
+    for r, wrench in zip(grasp_map.grasp_vectors, wrenches):
+        total += grasp_matrix(r) @ wrench
+    return total
+
+
+def feasible_wrench_check(problem, k):
+    """Whether k times the desired wrench keeps every joint in its limit."""
+    load = problem.tau_prime + k * problem.jt_hd
+    return bool(np.all(np.abs(load) <= problem.tau_max))

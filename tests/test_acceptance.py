@@ -15,14 +15,14 @@ from coopwrench import (AllocationWeights, CapabilityProblem, GraspMap,
                         evaluate_trajectory, export, forward_kinematics,
                         group_capability, ik_planar3r, inverse_dynamics,
                         jacobian, object_desired_wrench,
-                        object_wrench_from_ee,
                         reference_scenario, asymmetric_scenario,
                         run_scenario, simplex_solve)
 from coopwrench.capability import FLAG_UNBOUNDED, DEFAULT_UNBOUNDED_CAP
 from coopwrench.simplex import OPTIMAL
 
 from coopwrench.kinematics import JOINT_AXIS
-from oracles import (bisect_capability, closed_form_2r, rodrigues,
+from oracles import (bisect_capability, closed_form_2r,
+                     object_wrench_from_ee, rodrigues,
                      vertex_enumeration_optimum)
 from test_simplex import LP_SIZES, boxed_random_lp, capability_lp
 

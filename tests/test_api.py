@@ -6,8 +6,8 @@ import pytest
 
 import coopwrench
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README_TEXT,
                            flags=re.MULTILINE | re.DOTALL)
 
 
@@ -18,13 +18,24 @@ def test_star_import_resolves_every_exported_name():
     assert set(coopwrench.__all__) <= namespace.keys()
 
 
-@pytest.mark.parametrize("module, name", [("config", "Wrench"),
-                                          ("kinematics", "planar_rotation"),
-                                          ("kinematics", "planar_angle")])
+@pytest.mark.parametrize("module, name", [
+    ("config", "Wrench"), ("kinematics", "planar_rotation"),
+    ("kinematics", "planar_angle"),
+    # cross-checks that moved to tests/oracles.py: a run cannot build a 6x6
+    # grasp matrix when the package has none
+    ("dynamics", "mass_matrix"), ("dynamics", "gravity_vector"),
+    ("grasp", "skew"), ("grasp", "grasp_matrix"),
+    ("grasp", "object_wrench_from_ee"),
+    ("capability", "feasible_wrench_check")])
 def test_removed_forms_are_gone(module, name):
     assert name not in coopwrench.__all__
     assert not hasattr(coopwrench, name)
     assert not hasattr(getattr(coopwrench, module), name)
+
+
+@pytest.mark.parametrize("name", coopwrench.__all__)
+def test_readme_documents_every_exported_name(name):
+    assert re.search(rf"\b{re.escape(name)}\b", README_TEXT)
 
 
 def test_readme_has_python_examples():

@@ -12,13 +12,13 @@ import pytest
 
 from coopwrench import (CapabilityProblem, ScenarioValidationError,
                         asymmetric_scenario, capability_scalar,
-                        feasible_wrench_check, group_capability,
-                        group_capability_joint, reference_scenario,
-                        run_scenario)
+                        group_capability, group_capability_joint,
+                        reference_scenario, run_scenario)
 from coopwrench import runner
 from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
                                    DEFAULT_UNBOUNDED_CAP)
-from oracles import bisect_capability, reference_group_capability_joint
+from oracles import (bisect_capability, feasible_wrench_check,
+                     reference_group_capability_joint)
 
 
 def random_problem(rng, n=None, zero_fraction=0.15):
@@ -398,6 +398,18 @@ def test_non_finite_share_is_rejected(share):
     for moment in (0.5, 0.0):
         with pytest.raises(ValueError, match="alpha must be finite"):
             group_capability([problem, problem], [share, 1.0], moment)
+
+
+def test_overflowing_share_times_moment_names_the_product():
+    problem = CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0])
+    # a finite share and a finite moment whose product overflows
+    with pytest.raises(ValueError, match=r"alpha\[1\] \* moment"):
+        group_capability([problem, problem], [1.0, 1e300], 1e300)
+    # a finite product of extreme factors solves as the scalar solve does
+    result = group_capability([problem], [1e150], 1e-150)
+    expected = capability_scalar(problem, moment=1e150 * 1e-150)
+    assert result.k.tolist() == [expected.k]
+    assert result.alpha.tolist() == [1e150]
 
 
 @pytest.mark.parametrize("moment", [

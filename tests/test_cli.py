@@ -2,6 +2,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import coopwrench
 from coopwrench import cli, runner
 from coopwrench.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from coopwrench.config import (ASYMMETRIC_SCENARIO_TEXT,
@@ -84,6 +88,21 @@ def test_deeply_nested_scenario_exits_validation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("nesting too deep") == 2
     assert "Traceback" not in err
+
+
+def test_nesting_deeper_than_the_c_stack_exits_validation(tmp_path):
+    # libyaml's CSafeLoader parses 20 000 levels but crashes the interpreter
+    # at 50 000; a separate process keeps such a crash from ending the suite
+    path = write_scenario(tmp_path, "[" * 50_000 + "]" * 50_000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(coopwrench.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "coopwrench.cli", "validate", "--config",
+         str(path)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_VALIDATION
+    assert "nesting too deep" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_run_writes_all_outputs(tmp_path, capsys):

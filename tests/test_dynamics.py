@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from coopwrench import (JointState, ManipulatorModel, ObjectState,
-                        RigidObjectModel, cuboid_inertia,
-                        gravity_vector, inverse_dynamics, mass_matrix,
+                        RigidObjectModel, cuboid_inertia, inverse_dynamics,
                         object_desired_wrench, reference_scenario)
-from oracles import closed_form_2r, spatial_rne
+from oracles import (closed_form_2r, gravity_vector, mass_matrix,
+                     spatial_rne)
 
 G = 9.8067
 

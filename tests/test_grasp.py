@@ -4,8 +4,8 @@ import pytest
 
 from coopwrench import (AllocationWeights, GraspMap, ScenarioValidationError,
                         ZeroCapabilityError, allocate_proportional,
-                        counterbalance_moment, grasp_matrix,
-                        object_wrench_from_ee, reference_scenario, skew)
+                        counterbalance_moment, reference_scenario)
+from oracles import grasp_matrix, object_wrench_from_ee, skew
 
 REFERENCE_OFFSETS = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, -0.075],
                               [-0.1, 0.0, 0.0], [0.0, 0.0, 0.075]])

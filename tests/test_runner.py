@@ -9,10 +9,10 @@ import pytest
 from coopwrench import (MODES, AllocationWeights, ExportError, GraspMap,
                         RunResult, TrajectoryError, TrajectorySpec,
                         asymmetric_scenario, capability, evaluate_trajectory,
-                        export, grasp, object_desired_wrench,
-                        object_wrench_from_ee, reference_scenario, runner,
-                        run_scenario, summarize, time_grid)
+                        export, object_desired_wrench, reference_scenario,
+                        runner, run_scenario, summarize, time_grid)
 from coopwrench.runner import emit_plot_data, result_dict
+from oracles import object_wrench_from_ee
 
 
 @pytest.fixture(scope="module")
@@ -231,16 +231,6 @@ def test_run_scenario_takes_only_a_config(setting):
     # run settings live on the config alone; derive one with replace
     with pytest.raises(TypeError):
         run_scenario(reference_scenario(), **setting)
-
-
-def test_run_builds_no_grasp_matrices(monkeypatch):
-    def refuse(grasp_vector):
-        raise AssertionError("the runner needs no 6x6 grasp matrix")
-
-    monkeypatch.setattr(grasp, "grasp_matrix", refuse)
-    result = run_scenario(dataclasses.replace(
-        reference_scenario(), mode="both", dt=0.5, cycles=1))
-    assert len(result.samples) == 11
 
 
 @pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
