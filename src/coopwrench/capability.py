@@ -5,9 +5,11 @@ object wrench it can carry on top of its own dynamic load without violating
 any joint torque limit.  Because the scale enters every torque constraint
 affinely, each constraint row admits it to an interval and the maximization
 is an exact interval intersection, no iterative solver involved.  Group
-capability sums the per-manipulator scalars; the joint mode additionally
-optimizes how the compensating wrench is split, which requires a genuine
-linear program over all manipulators at once.
+capability sums the per-manipulator scalars.  The joint mode additionally
+optimizes how the compensating moment is split: each arm's capability is a
+concave, piecewise-linear function of the moment it takes, so the best
+split is a separable concave allocation, solved exactly by a sweep over
+the functions' pieces in order of falling slope.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import numpy as np
 
 from .config import (DEFAULT_UNBOUNDED_CAP, ScenarioValidationError, _freeze,
                      _real, _set)
-from .simplex import INFEASIBLE, LinearProgram, OPTIMAL, simplex_solve
 
 FLAG_INFEASIBLE = "infeasible"
 FLAG_UNBOUNDED = "capability-unbounded"
@@ -45,6 +46,8 @@ class CapabilityProblem:
         n = np.asarray(self.jt_hd).size
         for name in ("jt_hd", "tau_prime", "tau_max"):
             _set(self, name, _freeze(getattr(self, name), (n,), name))
+        if n == 0:
+            raise ScenarioValidationError("a problem needs at least one joint")
         if (self.tau_max <= 0.0).any():
             raise ScenarioValidationError("tau_max must be strictly positive")
 
@@ -170,55 +173,187 @@ def group_capability(problems, alpha, moment, *,
         frozenset(solve.flag for solve in solves if solve.flag is not None))
 
 
+# How far the joint sweep lets the moment pass the sum of the arms' domain
+# ends, or two parallel torque rows' bands miss each other, and still call
+# the program feasible: rounding in sums of ends of up to 1e6 in size.
+_FEASIBILITY_TOL = 1e-9
+
+
+def _meet(first, second):
+    """Where two lines (bound, a, slope) of unequal slope cross, as (mu, k).
+
+    A line with a != 0 is a torque row's edge mu + a * k = bound, of slope
+    -1 / a in the (mu, k) plane; with a == 0 it is k = bound.  k is solved
+    first, not read off a line at mu, so it stays accurate where a line is
+    nearly vertical (a tiny jt_hd entry).
+    """
+    b1, a1, _ = first
+    b2, a2, _ = second
+    if a1 == 0.0:
+        return b2 - a2 * b1, b1
+    if a2 == 0.0:
+        return b1 - a1 * b2, b2
+    k = (b1 - b2) / (a1 - a2)
+    return b1 - a1 * k, k
+
+
+def _value(line, mu):
+    bound, a, _ = line
+    return bound if a == 0.0 else (bound - mu) / a
+
+
+class _Profile(NamedTuple):
+    """k(mu) on [low, high]: k(low), then pieces (slope, end, k(end), line)
+    in order of falling slope, the last ending at high."""
+
+    low: float
+    high: float
+    k_low: float
+    pieces: list
+
+
+def _arm_profile(problem, cap):
+    """One arm's capability k(mu) as a function of the moment mu it takes.
+
+    Each torque row with a nonzero jt_hd entry a holds (mu, k) between two
+    parallel lines mu + a * k = bound, and k lies in [0, cap].  k(mu) is the
+    least upper line, on the interval of moments where no lower line
+    exceeds it and every a == 0 row holds.  Returns its _Profile, or None
+    when the interval is empty.
+    """
+    ends = [[-math.inf, None], [math.inf, None]]  # (mu, k) at low, high
+    lowers, uppers = [(0.0, 0.0, 0.0)], [(float(cap), 0.0, 0.0)]
+    for a, prime, tau in zip(problem.jt_hd.tolist(),
+                             problem.tau_prime.tolist(),
+                             problem.tau_max.tolist()):
+        below, above = -tau - prime, tau - prime
+        if a == 0.0:
+            if below > ends[0][0]:
+                ends[0] = [below, None]
+            if above < ends[1][0]:
+                ends[1] = [above, None]
+        elif a > 0.0:
+            lowers.append((below, a, -1.0 / a))
+            uppers.append((above, a, -1.0 / a))
+        else:
+            lowers.append((above, a, -1.0 / a))
+            uppers.append((below, a, -1.0 / a))
+    for lower in lowers:
+        for upper in uppers:
+            if lower[2] == upper[2]:
+                if lower[1] != 0.0 and (lower[0] - upper[0]) / lower[1] \
+                        > _FEASIBILITY_TOL:
+                    return None  # parallel rows whose bands never overlap
+                continue
+            mu, k = _meet(lower, upper)
+            if lower[2] > upper[2]:
+                if mu < ends[1][0]:
+                    ends[1] = [mu, k]
+            elif mu > ends[0][0]:
+                ends[0] = [mu, k]
+    (low, k_low), (high, k_high) = ends
+    if low > high + _FEASIBILITY_TOL:
+        return None
+    high = max(low, high)
+    # the least upper line from mu = -inf on: the steepest rising one, then
+    # at each crossing the next line of smaller slope
+    line = min(uppers, key=lambda ln: (-ln[2], _value(ln, 0.0)))
+    pieces = []
+    while True:
+        following, end, k_end = None, math.inf, None
+        for other in uppers:
+            if other[2] < line[2]:
+                mu, k = _meet(line, other)
+                if following is None or mu < end or (
+                        mu == end and other[2] < following[2]):
+                    following, end, k_end = other, mu, k
+        if k_low is None and end > low:
+            k_low = _value(line, low)
+        if end >= high:
+            if k_high is None:
+                k_high = _value(line, high)
+            if high > low:
+                pieces.append((line[2], high, k_high, line))
+            return _Profile(low, high, k_low, pieces)
+        if end > low and (not pieces or end > pieces[-1][1]):
+            pieces.append((line[2], end, k_end, line))
+        line = following
+
+
 def group_capability_joint(problems, moment, *,
                            unbounded_cap=DEFAULT_UNBOUNDED_CAP):
     """Group capability co-optimizing the compensation split.
 
-    Decision variables are every manipulator's scale k_i >= 0 and free
-    shares alpha_i summing to 1; the objective is the summed scale.  Each
-    joint contributes a two-sided torque row, in which alpha_i carries the
-    compensating ``moment``.  Explicit caps keep otherwise unbounded scales
-    at the documented ceiling instead of an unbounded verdict.
+    Maximizes the summed scale over every manipulator's scale k_i >= 0 and
+    free shares alpha_i summing to 1, where arm i carries alpha_i * moment
+    at each of its joints.  With mu_i = alpha_i * moment this is
+    max sum k_i(mu_i) subject to sum mu_i = moment, where each k_i(mu) is
+    concave and piecewise linear; a sweep that hands the moment out in
+    pieces of falling slope solves it exactly (the equal-marginal rule:
+    at the optimum one slope lies between every arm's left and right
+    slopes).  Every mu_i ends on a breakpoint of its profile except that of
+    one marginal arm, which takes the rest of the moment.  At moment 0
+    every mu_i is 0, so each k_i is the scalar solve and alpha is
+    (1, 0, ..., 0).  Scales stop at the documented ceiling, with a flag.
+    moment must be a finite real number and unbounded_cap positive and
+    finite (ValueError otherwise).
     """
     moment = _check_moment(moment)
     _check_cap(unbounded_cap)
     count = len(problems)
-    n_vars = 2 * count
-    # a two-sided torque row per joint of every arm, in arm order, then the
-    # share row (the alphas sum to 1), then a cap row per scale
-    n_torque = sum(problem.joint_count for problem in problems)
-    rows = np.zeros((n_torque + 1 + count, n_vars))
-    lowers = np.full(n_torque + 1 + count, -np.inf)
-    uppers = np.full(n_torque + 1 + count, float(unbounded_cap))
-    start = 0
-    for i, problem in enumerate(problems):
-        torque = slice(start, start + problem.joint_count)
-        rows[torque, i] = problem.jt_hd
-        rows[torque, count + i] = moment
-        lowers[torque] = -problem.tau_max - problem.tau_prime
-        uppers[torque] = problem.tau_max - problem.tau_prime
-        start = torque.stop
-    rows[n_torque, count:] = 1.0
-    lowers[n_torque] = uppers[n_torque] = 1.0
-    rows[n_torque + 1:, :count] = np.eye(count)
-    objective = np.zeros(n_vars)
-    objective[:count] = 1.0
-    nonneg = np.zeros(n_vars, dtype=bool)
-    nonneg[:count] = True
-
-    result = simplex_solve(LinearProgram(
-        objective=objective,
-        row_coeffs=rows,
-        row_lower=lowers,
-        row_upper=uppers,
-        nonnegative=nonneg,
-    ))
-    if result.status == INFEASIBLE:
-        return GroupCapability(np.zeros(count), None,
-                               frozenset({FLAG_INFEASIBLE}))
-    if result.status != OPTIMAL:
-        raise RuntimeError("joint capability program unexpectedly unbounded")
-    k = result.x[:count].copy()
+    infeasible = GroupCapability(np.zeros(count), None,
+                                 frozenset({FLAG_INFEASIBLE}))
+    if count == 0:
+        return infeasible
+    if moment == 0.0:
+        solves = [capability_scalar(problem, unbounded_cap=unbounded_cap)
+                  for problem in problems]
+        if any(solve.flag == FLAG_INFEASIBLE for solve in solves):
+            return infeasible
+        k = [solve.k for solve in solves]
+        alpha = np.zeros(count)
+        alpha[0] = 1.0
+    else:
+        profiles = [_arm_profile(problem, unbounded_cap)
+                    for problem in problems]
+        if None in profiles:
+            return infeasible
+        mu = [profile.low for profile in profiles]
+        k = [profile.k_low for profile in profiles]
+        remaining = moment - math.fsum(mu)
+        if remaining < -_FEASIBILITY_TOL or moment > math.fsum(
+                profile.high for profile in profiles) + _FEASIBILITY_TOL:
+            return infeasible
+        marginal, inside = 0, None
+        for _, arm, end, k_end, line in sorted(
+                (-slope, arm, end, k_end, line)
+                for arm, profile in enumerate(profiles)
+                for slope, end, k_end, line in profile.pieces):
+            if remaining <= 0.0:
+                break
+            marginal = arm
+            step = end - mu[arm]
+            if step > remaining:
+                inside = (line, k[arm], k_end)
+                break
+            mu[arm], k[arm] = end, k_end
+            remaining -= step
+        # the marginal arm takes the rest of the moment, summed exactly
+        mu[marginal] = 0.0
+        mu[marginal] = moment - math.fsum(mu)
+        if inside is not None:
+            line, k_start, k_end = inside
+            k[marginal] = min(max(_value(line, mu[marginal]),
+                                  min(k_start, k_end)), max(k_start, k_end))
+        # the share of least size absorbs the rounding, so the shares sum
+        # to 1 as closely as floats allow even beside shares of 1e7
+        alpha = [m / moment for m in mu]
+        least = min(range(count), key=lambda arm: abs(alpha[arm]))
+        alpha[least] = 0.0
+        alpha[least] = 1.0 - math.fsum(alpha)
+        alpha = np.array(alpha)
+        k = np.clip(k, 0.0, unbounded_cap)
+    k = np.array(k)
     capped = np.any(k >= unbounded_cap * (1.0 - 1e-9))
-    return GroupCapability(k, result.x[count:].copy(),
+    return GroupCapability(k, alpha,
                            frozenset({FLAG_UNBOUNDED} if capped else ()))

@@ -10,7 +10,13 @@ The ``reference_*`` kinematics are the package's earlier array formulation,
 frozen verbatim when the step path was rewritten, and ``reference_simplex_solve``
 and ``reference_group_capability_joint`` are the row-by-row assembly of the
 joint program and its standard form, frozen when both were rewritten as
-whole-array builds; each rewrite is held to the same output bits.
+whole-array builds; each rewrite is held to the same output bits.  The
+frozen joint program is also the linear-program cross-check of the
+package's breakpoint sweep, which replaced it.
+
+``joint_optimality_violations`` checks any joint result without a solver
+of the joint program: its torque rows and shares, and the equal-marginal
+rule on slopes read from the package's scalar solve.
 
 The last six functions are cross-checks that no run needs, so they live
 here and not in the package: ``mass_matrix`` and ``gravity_vector``
@@ -19,12 +25,13 @@ assemble the joint-space terms from the package's ``inverse_dynamics``,
 wrenches through explicit 6x6 maps, and ``feasible_wrench_check`` tests one
 wrench scale against every torque limit.
 """
+import math
 from itertools import combinations
 
 import numpy as np
 
 from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
-                                   GroupCapability)
+                                   GroupCapability, capability_scalar)
 from coopwrench.config import DEFAULT_UNBOUNDED_CAP
 from coopwrench.dynamics import inverse_dynamics
 from coopwrench.kinematics import DifferentialIk, JointState
@@ -492,6 +499,70 @@ def reference_group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDE
     capped = np.any(k >= unbounded_cap * (1.0 - 1e-9))
     return GroupCapability(k, result.x[count:].copy(),
                            frozenset({FLAG_UNBOUNDED} if capped else ()))
+
+
+def _secant(problem, mu, k, h, cap, tol):
+    """Slope of the joint program's k(mu) from mu to mu + h (h may be < 0).
+
+    Infinite, with the sign that bounds nothing, where the arm is
+    infeasible at mu + h: where the scalar solve says so, or where it clips
+    to the cap but the cap breaks a torque row (in the joint program the cap
+    is a constraint).
+    """
+    shifted = mu + h
+    other = capability_scalar(problem, moment=shifted, unbounded_cap=cap)
+    load = problem.tau_prime + other.k * problem.jt_hd + shifted
+    if other.flag == FLAG_INFEASIBLE \
+            or (np.abs(load) > problem.tau_max + tol).any():
+        return math.copysign(math.inf, -h)
+    return (other.k - k) / h
+
+
+def joint_optimality_violations(problems, moment, result, *,
+                                unbounded_cap=DEFAULT_UNBOUNDED_CAP,
+                                tol=1e-9, step=1e-4):
+    """Why a feasible joint result is not optimal; [] if it is.
+
+    Feasibility: every torque row |tau_prime + k_i jt_hd + alpha_i moment|
+    <= tau_max holds to tol, 0 <= k_i <= cap, the shares sum to 1 to tol
+    (summed exactly), and the unbounded flag is set exactly when some k_i
+    reaches the cap.  Optimality: each k_i is at least the scalar solve at
+    the arm's moment mu_i = alpha_i * moment, and, unless the moment is 0
+    (every mu_i is 0 then), one slope lies between every arm's left and
+    right slope of k(mu) at mu_i.  The slopes are secants over
+    h = step * max(1, max |mu_j|), well above the rounding of the mu_j;
+    a secant only widens the interval of slopes of a concave profile.
+    """
+    k, alpha = result.k.tolist(), result.alpha.tolist()
+    cap = float(unbounded_cap)
+    found = []
+    if abs(math.fsum(alpha) - 1.0) > tol:
+        found.append(f"shares sum to {math.fsum(alpha)!r}")
+    capped = any(k_i >= cap * (1.0 - 1e-9) for k_i in k)
+    if result.flags != ({FLAG_UNBOUNDED} if capped else set()):
+        found.append(f"flags {set(result.flags)} with k {k}")
+    mus = [alpha_i * moment for alpha_i in alpha]
+    h = step * max([1.0] + [abs(mu) for mu in mus])
+    lefts, rights = [], []
+    for i, (problem, k_i, mu) in enumerate(zip(problems, k, mus,
+                                               strict=True)):
+        load = problem.tau_prime + k_i * problem.jt_hd + mu
+        if (np.abs(load) > problem.tau_max + tol).any() \
+                or not -tol <= k_i <= cap * (1.0 + tol):
+            found.append(f"arm {i}: k {k_i!r} at moment {mu!r} breaks a "
+                         "torque row")
+        best = capability_scalar(problem, moment=mu, unbounded_cap=cap).k
+        if k_i < best - tol * max(1.0, best):
+            found.append(f"arm {i}: k {k_i!r} below its capability {best!r}")
+        lefts.append(_secant(problem, mu, k_i, -h, cap, tol))
+        rights.append(_secant(problem, mu, k_i, h, cap, tol))
+    if moment != 0.0:
+        scale = 1.0 + max((abs(v) for v in lefts + rights
+                           if math.isfinite(v)), default=0.0)
+        if max(rights) > min(lefts) + 1e-6 * scale:
+            found.append(f"no common slope: right slopes {rights}, left "
+                         f"slopes {lefts}")
+    return found
 
 
 # Cross-checks of the dynamics, the grasp map and the scalar solve.

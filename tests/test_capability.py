@@ -1,9 +1,11 @@
 """Capability solves checked against bisection and grid-search oracles.
 
-The joint solve is also held bit for bit to its frozen row-by-row
-predecessor, ``oracles.reference_group_capability_joint``.
+The joint sweep is also held to the frozen linear program,
+``oracles.reference_group_capability_joint``, on K1 and flags, and each of
+its results is certified by ``oracles.joint_optimality_violations``.
 """
 import dataclasses
+import math
 import time
 from types import SimpleNamespace
 
@@ -16,8 +18,9 @@ from coopwrench import (CapabilityProblem, ScenarioValidationError,
                         reference_scenario, run_scenario)
 from coopwrench import runner
 from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
-                                   DEFAULT_UNBOUNDED_CAP)
+                                   DEFAULT_UNBOUNDED_CAP, GroupCapability)
 from oracles import (bisect_capability, feasible_wrench_check,
+                     joint_optimality_violations,
                      reference_group_capability_joint)
 
 
@@ -345,6 +348,9 @@ def test_joint_mode_infeasible_split():
     assert FLAG_INFEASIBLE in sample.flags
     assert sample.K1 == 0.0
     np.testing.assert_array_equal(sample.k, np.zeros(2))
+    # no arm can take a share
+    for moment in (0.0, 0.5):
+        assert group_capability_joint([], moment).flags == {FLAG_INFEASIBLE}
 
 
 def test_problem_validation():
@@ -355,6 +361,8 @@ def test_problem_validation():
         CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[0.0])
     with pytest.raises(ScenarioValidationError):
         CapabilityProblem(jt_hd=[np.nan], tau_prime=[0.0], tau_max=[1.0])
+    with pytest.raises(ScenarioValidationError, match="at least one joint"):
+        CapabilityProblem(jt_hd=[], tau_prime=[], tau_max=[])
 
 
 def test_capability_api_takes_moment_by_keyword_only():
@@ -437,16 +445,23 @@ def test_cap_must_be_positive_and_finite(cap):
             solve()
 
 
-def assert_same_group_capability(actual, expected):
-    """Equal flags, and k and alpha equal in value and sign bit."""
-    assert actual.flags == expected.flags
-    for name in ("k", "alpha"):
-        value, frozen = getattr(actual, name), getattr(expected, name)
-        if frozen is None:
-            assert value is None
-            continue
-        assert np.array_equal(value, frozen)
-        assert np.array_equal(np.signbit(value), np.signbit(frozen))
+def assert_matches_frozen_program(problems, moment, result,
+                                  unbounded_cap=DEFAULT_UNBOUNDED_CAP):
+    """The frozen program's flags and K1 (to 1e-9 relative), and optimal.
+
+    Tied slopes can make more than one split optimal, so k and alpha are
+    not compared one by one; the optimality check holds them instead.
+    """
+    expected = reference_group_capability_joint(
+        [with_moment(p, moment) for p in problems],
+        unbounded_cap=unbounded_cap)
+    assert result.flags == expected.flags
+    assert abs(result.K1 - expected.K1) <= 1e-9 * max(1.0, abs(expected.K1))
+    if expected.alpha is None:
+        assert result.alpha is None
+    else:
+        assert joint_optimality_violations(
+            problems, moment, result, unbounded_cap=unbounded_cap) == []
 
 
 def test_joint_matches_frozen_reference_on_random_groups():
@@ -466,8 +481,7 @@ def test_joint_matches_frozen_reference_on_random_groups():
         moment = round(float(rng.normal()), 2) * 0.4
         cap = float(rng.choice([DEFAULT_UNBOUNDED_CAP, 3.0]))
         result = group_capability_joint(problems, moment, unbounded_cap=cap)
-        assert_same_group_capability(result, reference_group_capability_joint(
-            [with_moment(p, moment) for p in problems], unbounded_cap=cap))
+        assert_matches_frozen_program(problems, moment, result, cap)
         flags |= result.flags or {None}
     assert flags == {None, FLAG_INFEASIBLE, FLAG_UNBOUNDED}
 
@@ -475,17 +489,12 @@ def test_joint_matches_frozen_reference_on_random_groups():
 @pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
 def test_joint_matches_frozen_reference_along_built_in_paths(scenario,
                                                              monkeypatch):
-    """Every joint solve of one refined joint-mode cycle.
-
-    Equal scales and shares are the program's whole solution x, so its
-    status and objective agree as well.
-    """
+    """Every joint solve of one refined joint-mode cycle."""
     solves = []
 
     def checked_joint(problems, moment, **kwargs):
         result = solve_joint(problems, moment, **kwargs)
-        assert_same_group_capability(result, reference_group_capability_joint(
-            [with_moment(p, moment) for p in problems], **kwargs))
+        assert_matches_frozen_program(problems, moment, result, **kwargs)
         solves.append(result)
         return result
 
@@ -496,3 +505,106 @@ def test_joint_matches_frozen_reference_along_built_in_paths(scenario,
     run_scenario(config)
     assert len(solves) > config.step_count
     assert not any(FLAG_INFEASIBLE in solve.flags for solve in solves)
+
+
+def test_joint_mode_at_moment_zero_is_the_scalar_solve():
+    # every mu_i = alpha_i * 0 is 0, so these two arms, whose capabilities
+    # slope opposite ways in the moment, cannot trade opposite moments
+    problems = [
+        CapabilityProblem(jt_hd=[1.0], tau_prime=[0.0], tau_max=[1.0]),
+        CapabilityProblem(jt_hd=[-1.0], tau_prime=[0.0], tau_max=[1.0]),
+    ]
+    result = group_capability_joint(problems, 0.0)
+    assert result.k.tolist() == [1.0, 1.0]
+    assert result.alpha.tolist() == [1.0, 0.0]
+    assert result.flags == frozenset()
+    # any other moment frees the split, and both arms run to the cap
+    free = group_capability_joint(problems, 1e-3)
+    assert free.k.tolist() == [DEFAULT_UNBOUNDED_CAP] * 2
+    assert free.flags == {FLAG_UNBOUNDED}
+    rng = np.random.default_rng(63)
+    for _ in range(100):
+        problems = [random_problem(rng, n=3) for _ in range(3)]
+        scalars = [capability_scalar(p) for p in problems]
+        result = group_capability_joint(problems, 0.0)
+        if any(s.flag == FLAG_INFEASIBLE for s in scalars):
+            assert result.flags == {FLAG_INFEASIBLE}
+            continue
+        assert result.k.tolist() == [s.k for s in scalars]
+        assert result.alpha.tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("moment,problems", [
+    # the third arm's moments reach down to -cap * 0.86, about -8.6e5
+    (0.27599999999999997, [
+        ([1.0, 0.12], [1.5207000000000002, -1.0017], [1.37, 1.59]),
+        ([0.0, 0.26, 0.0], [-0.0833, -0.3712, -0.5226000000000001],
+         [1.19, 0.64, 1.34]),
+        ([0.86], [0.7527], [1.93]),
+        ([-1.07, 0.0, 0.31, 0.0],
+         [-1.6380000000000001, 0.4968000000000001, -1.7424, 0.3553],
+         [1.82, 1.08, 1.98, 1.87])]),
+    # the second arm sits at the cap with a share of about -1.3e7
+    (-0.024, [
+        ([0.62], [0.8712], [1.98]),
+        ([-0.31], [-0.5741999999999999], [0.99]),
+        ([0.83, 0.0, 0.0], [-0.22110000000000002, 0.43740000000000007,
+                            -0.4995], [0.67, 1.62, 1.35]),
+        ([-0.03, 0.0], [-0.925, 1.4382], [1.85, 1.53])]),
+    # shares of about +-6.9e7: had the marginal arm's share been 1 minus
+    # the others', they would sum to 1 - 6e-9
+    (0.008, [
+        ([-1.23, -0.83], [-1.0922, 0.4428], [1.27, 0.82]),
+        ([0.55], [-0.8316], [0.99]),
+        ([0.0, -0.7], [1.284, 1.0881], [1.2, 1.17]),
+        ([-0.71], [0.5412], [1.64])]),
+])
+def test_joint_mode_shares_sum_to_one_beside_a_far_reaching_arm(moment,
+                                                               problems):
+    problems = [CapabilityProblem(jt_hd=a, tau_prime=prime, tau_max=tau)
+                for a, prime, tau in problems]
+    result = group_capability_joint(problems, moment)
+    assert abs(math.fsum(result.alpha.tolist()) - 1.0) <= 1e-9
+    assert_matches_frozen_program(problems, moment, result)
+
+
+def test_joint_mode_moment_at_the_sum_of_domain_ends_is_feasible():
+    # the arms' largest moments sum to 0.364, one ulp below the moment; the
+    # frozen program accepts that within its tolerance, and so does the sweep
+    problems = [
+        CapabilityProblem(jt_hd=[0.23, -0.8], tau_prime=[0.52, -0.861],
+                          tau_max=[0.65, 1.05]),
+        CapabilityProblem(jt_hd=[2.2, 1.12, 2.01, 0.0],
+                          tau_prime=[0.666, -0.5544, 0.3278,
+                                     1.3967999999999998],
+                          tau_max=[0.9, 0.66, 1.49, 1.94]),
+    ]
+    moment = 0.36400000000000005
+    result = group_capability_joint(problems, moment, unbounded_cap=3.0)
+    assert result.flags == frozenset()
+    assert_matches_frozen_program(problems, moment, result, 3.0)
+
+
+def test_optimality_check_rejects_a_lowered_scale_and_a_moved_share():
+    problems = [
+        CapabilityProblem(jt_hd=[1.0, 0.5], tau_prime=[0.1, -0.05],
+                          tau_max=[1.0, 1.0]),
+        CapabilityProblem(jt_hd=[0.8, -0.4], tau_prime=[0.0, 0.1],
+                          tau_max=[1.0, 1.0]),
+    ]
+    moment = 0.3
+    result = group_capability_joint(problems, moment)
+    assert joint_optimality_violations(problems, moment, result) == []
+    lowered = result._replace(k=result.k - [1e-6, 0.0])
+    assert joint_optimality_violations(problems, moment, lowered)
+    unbalanced = result._replace(alpha=result.alpha + [1e-3, 0.0])
+    assert joint_optimality_violations(problems, moment, unbalanced)
+    # moved from one arm to the other, with each scale re-solved at its
+    # new moment: feasible, but off the equal-marginal point
+    for shift in (1e-3, -1e-3):
+        alpha = result.alpha + [shift, -shift]
+        k = [capability_scalar(p, moment=a * moment).k
+             for p, a in zip(problems, alpha.tolist())]
+        moved = GroupCapability(np.array(k), alpha, result.flags)
+        assert moved.K1 < result.K1
+        assert joint_optimality_violations(problems, moment, moved)

@@ -15,7 +15,8 @@ digests exactly when every item is byte-identical.
 
 Each checkout is digested in its own child process with only its own
 ``src`` on the import path.  With two or more checkouts the script prints
-each checkout's lines and exits 1 if any digest differs.
+each checkout's lines and exits 1 if any digest differs.  It exits 2, with
+the child's error on stderr, when a checkout's sweep fails.
 """
 import contextlib
 import dataclasses
@@ -27,6 +28,7 @@ import sys
 import tempfile
 
 _HERE = "--here"
+SWEEP_FAILED = 2
 DT = 0.05
 CYCLES = 1
 BETA_ITERATIONS = (0, 2)
@@ -104,13 +106,17 @@ def cli_digest():
 
 
 def checkout_digests(checkout):
-    """Digest lines printed by a child importing only ``checkout``/src."""
+    """Digest lines printed by a child importing only ``checkout``/src.
+
+    Exits with SWEEP_FAILED when the child fails.
+    """
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     child = subprocess.run([sys.executable, os.path.abspath(__file__), _HERE],
                            env=env, cwd=checkout, capture_output=True,
                            text=True)
     if child.returncode != 0:
-        raise SystemExit(f"{checkout}: digest failed\n{child.stderr}")
+        print(f"{checkout}: digest failed\n{child.stderr}", file=sys.stderr)
+        raise SystemExit(SWEEP_FAILED)
     return child.stdout.splitlines()
 
 
