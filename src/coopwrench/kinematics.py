@@ -27,7 +27,6 @@ JOINT_AXIS.flags.writeable = False
 # singular and the velocity solve falls back to damped least squares.
 SINGULAR_THRESHOLD = 1e-6
 DAMPING = 1e-6
-_FD_STEP = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,23 +59,45 @@ class Pose:
         _set(self, "pitch", pitch)
 
 
-def _link_points(model, q):
-    """X and Z of each joint origin and of the end effector, as floats.
-
-    Each coordinate is the base plus a prefix sum of the link vectors,
-    summed left to right as np.cumsum does; that order fixes the bits.
-    """
+def _joint_vector(model, q):
+    """q as a float array with one entry per joint (ValueError otherwise)."""
+    q = np.asarray(q, dtype=float)
     if q.shape != model.link_lengths.shape:
         raise ValueError(f"q must have {model.joint_count} entries, "
                          f"got shape {q.shape}")
-    angles = q.cumsum()
-    dx = (model.link_lengths * np.cos(angles)).tolist()
-    dz = (model.link_lengths * np.sin(angles)).tolist()
-    for j in range(1, len(dx)):
-        dx[j] += dx[j - 1]
-        dz[j] += dz[j - 1]
-    bx, _, bz = model.base_position.tolist()
-    return [bx] + [bx + x for x in dx], [bz] + [bz + z for z in dz]
+    return q
+
+
+def _link_vectors(model, q):
+    """X and Z extent of each link, per row of a (T, n) stack of positions."""
+    angles = q.cumsum(axis=1)
+    return (model.link_lengths * np.cos(angles),
+            model.link_lengths * np.sin(angles))
+
+
+def _points(base, d):
+    """base followed by base plus each prefix sum of a row of d: (T, n+1).
+
+    The prefix sums run left to right as np.cumsum does; that order fixes
+    the bits.
+    """
+    out = np.empty((d.shape[0], d.shape[1] + 1))
+    out[:, 0] = base
+    out[:, 1:] = base + d.cumsum(axis=1)
+    return out
+
+
+def _jacobians(model, dx, dz):
+    """(T, 6, n) geometric Jacobians from a stack's link vectors."""
+    bx, _, bz = model.base_position
+    xs, zs = _points(bx, dx), _points(bz, dz)
+    jac = np.zeros((dx.shape[0], 6, dx.shape[1]))
+    # JOINT_AXIS x lever expands to (-lever_z, 0, lever_x); the angular
+    # rows are JOINT_AXIS per joint
+    jac[:, 0] = zs[:, :-1] - zs[:, -1:]
+    jac[:, 2] = xs[:, -1:] - xs[:, :-1]
+    jac[:, 3:] = JOINT_AXIS[:, None]
+    return jac
 
 
 def joint_positions(model, q):
@@ -85,9 +106,12 @@ def joint_positions(model, q):
     Returns an (n+1, 3) array: row 0 is the base (joint 1), row j the origin
     of joint j+1, and the last row the end-effector point.
     """
-    xs, zs = _link_points(model, np.asarray(q, dtype=float))
-    by = float(model.base_position[1])
-    return np.array([[x, by, z] for x, z in zip(xs, zs)])
+    dx, dz = _link_vectors(model, _joint_vector(model, q)[None])
+    bx, by, bz = model.base_position
+    points = np.full((dx.shape[1] + 1, 3), by)
+    points[:, 0] = _points(bx, dx)[0]
+    points[:, 2] = _points(bz, dz)[0]
+    return points
 
 
 def forward_kinematics(model, q):
@@ -103,13 +127,8 @@ def jacobian(model, q):
     zero for these planar chains and row wy is -1 per joint (the chains spin
     about -Y for positive joint rates).
     """
-    xs, zs = _link_points(model, np.asarray(q, dtype=float))
-    ex, ez = xs.pop(), zs.pop()
-    zero = [0.0] * len(xs)
-    # JOINT_AXIS x lever expands to (-lever_z, 0, lever_x); the angular
-    # rows are JOINT_AXIS per joint
-    return np.array([[z - ez for z in zs], zero, [ex - x for x in xs],
-                     zero, [-1.0] * len(xs), zero])
+    q = _joint_vector(model, q)
+    return _jacobians(model, *_link_vectors(model, q[None]))[0]
 
 
 def ik_planar3r(model, target):
@@ -154,11 +173,43 @@ class DifferentialIk(NamedTuple):
 
 
 def _solve_planar(J3, rhs, damped):
-    """Solve the 3x3 planar system, by damped least squares if singular."""
-    if damped:
-        lhs = J3.T @ J3 + DAMPING * np.eye(3)
-        return np.linalg.solve(lhs, J3.T @ rhs)
-    return np.linalg.solve(J3, rhs)
+    """Solve each 3x3 planar system, by damped least squares where singular.
+
+    J3 is a (T, 3, n) stack, rhs (T, 3) and damped a (T,) mask; the damped
+    rows are solved together as their own stack.
+    """
+    out = np.empty_like(rhs)
+    plain = ~damped
+    out[plain] = np.linalg.solve(J3[plain], rhs[plain, :, None])[..., 0]
+    J3d = J3[damped]
+    J3dT = J3d.transpose(0, 2, 1)
+    lhs = J3dT @ J3d + DAMPING * np.eye(J3.shape[2])
+    out[damped] = np.linalg.solve(lhs, J3dT @ rhs[damped, :, None])[..., 0]
+    return out
+
+
+def _differential_ik(model, q, twist, accel):
+    """Differential IK over a (T, n) stack of joint positions.
+
+    twist and accel are (T, 3) stacks of planar rows (px, pz, wy).  Returns
+    the (T, 6, n) Jacobians, the (T, n) joint rates and accelerations and
+    the (T,) mask of damped solves; row t of each is what differential_ik
+    gives for row t alone.
+    """
+    dx, dz = _link_vectors(model, q)
+    jac = _jacobians(model, dx, dz)
+    J3 = jac[:, [0, 2, 4]]  # rows px, pz, wy
+    damped = np.linalg.svd(J3, compute_uv=False)[:, -1] < SINGULAR_THRESHOLD
+    qdot = _solve_planar(J3, twist, damped)
+    # exact Jdot @ qdot: each link's tip circles its joint at the link's
+    # absolute rate, the prefix sum of the joint rates, so its centripetal
+    # part is -rate^2 times the link vector; row wy of J is constant
+    rate_sq = np.square(qdot.cumsum(axis=1))
+    jdot_qdot = np.zeros_like(twist)
+    jdot_qdot[:, 0] = -(dx * rate_sq).sum(axis=1)
+    jdot_qdot[:, 1] = -(dz * rate_sq).sum(axis=1)
+    qddot = _solve_planar(J3, accel - jdot_qdot, damped)
+    return jac, qdot, qddot, damped
 
 
 def differential_ik(model, q, ee_twist, ee_accel):
@@ -166,29 +217,18 @@ def differential_ik(model, q, ee_twist, ee_accel):
 
     ee_twist and ee_accel are the planar rows (px, pz, wy) of the twist and
     of its derivative, 3-vectors each (ValueError otherwise).  The
-    acceleration solve uses a central finite-difference Jacobian
-    derivative.  A damped solve is reported through the ``damped`` flag
-    rather than raised.
+    acceleration solve uses the exact Jacobian derivative.  A damped solve
+    is reported through the ``damped`` flag rather than raised.
     """
-    q = np.asarray(q, dtype=float)
+    q = _joint_vector(model, q)
     ee_twist = np.asarray(ee_twist, dtype=float)
     ee_accel = np.asarray(ee_accel, dtype=float)
     if ee_twist.shape != (3,) or ee_accel.shape != (3,):
         raise ValueError("ee_twist and ee_accel must be (px, pz, wy) rows, "
                          f"got shapes {ee_twist.shape}, {ee_accel.shape}")
-    J3 = jacobian(model, q)[[0, 2, 4]]  # rows px, pz, wy
-    damped = bool(np.linalg.svd(J3, compute_uv=False)[-1] < SINGULAR_THRESHOLD)
-    qdot = _solve_planar(J3, ee_twist, damped)
-    jdot = np.zeros((3, q.size))  # the same rows; [::2] selects them too
-    bump = np.zeros(q.size)
-    for j in range(q.size):
-        bump[j] = _FD_STEP
-        dJ = (jacobian(model, q + bump)[::2]
-              - jacobian(model, q - bump)[::2]) / (2.0 * _FD_STEP)
-        bump[j] = 0.0
-        jdot += dJ * qdot[j]
-    qddot = _solve_planar(J3, ee_accel - jdot @ qdot, damped)
-    return DifferentialIk(qdot, qddot, damped)
+    _, qdot, qddot, damped = _differential_ik(model, q[None], ee_twist[None],
+                                              ee_accel[None])
+    return DifferentialIk(qdot[0], qddot[0], bool(damped[0]))
 
 
 def ee_pose_from_object(state, grasp_point):

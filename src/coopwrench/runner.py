@@ -1,19 +1,22 @@
-"""Trajectory runner: per-step capability evaluation and result export.
+"""Trajectory runner: capability evaluation over a time grid and export.
 
-Each time step flows through the same pipeline: object state from the
-trajectory, desired object wrench from its dynamics, joint states per
-manipulator from closed-form plus differential inverse kinematics, chain
-self-load torques from inverse dynamics, then the capability solves for the
-configured mode.  The load-share vector comes from the baseline solve, so
-every mode computes the baseline series; improved modes add the
-counterbalanced series on the identical states.  Steps run serially, in
-order, and every pass solves each manipulator once.
+A run samples the object trajectory at every step, solves each
+manipulator's closed-form inverse kinematics along it, and then makes one
+pass per manipulator over the whole grid: joint rates and accelerations
+from differential inverse kinematics, chain self-load torques from inverse
+dynamics, and the joint-torque image of the desired object wrench, all as
+(steps, joints) arrays.  The capability solves for the configured mode then
+run step by step, in order, on those rows.  The load-share vector comes
+from the baseline solve, so every mode computes the baseline series;
+improved modes add the counterbalanced series on the identical states, and
+every pass solves each manipulator once.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,12 +24,11 @@ from .capability import (FLAG_SINGULAR, FLAG_VELOCITY, CapabilityProblem,
                          CapabilitySample, capability_scalar,
                          group_capability, group_capability_joint)
 from .config import ObjectState, scenario_dict
-from .dynamics import inverse_dynamics, object_desired_wrench
+from .dynamics import _inverse_dynamics, object_desired_wrench
 from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
                     allocate_proportional, counterbalance_moment)
-from .kinematics import (JOINT_AXIS, JointState, differential_ik,
-                         ee_pose_from_object, ik_planar3r, jacobian,
-                         joint_positions)
+from .kinematics import (JOINT_AXIS, _differential_ik, ee_pose_from_object,
+                         ik_planar3r, joint_positions)
 
 _BETA_TOL = 1e-6
 
@@ -102,30 +104,41 @@ def _solve_ik_paths(config, states):
     return paths
 
 
-def _step_sample(config, grasp_map, state, t, joints):
-    """Run the capability pipeline for one time step.
+class _ArmPass(NamedTuple):
+    """One manipulator's loads at every step, row s for step s."""
 
-    ``joints`` holds each manipulator's joint positions at ``state``; each
-    manipulator's problem is built once, and a pass changes only the moment.
+    jt_hd: np.ndarray  # (steps, joints): J^T h_d
+    tau_prime: np.ndarray  # (steps, joints): the chain's own load
+    damped: np.ndarray  # (steps,): differential IK fell back to damping
+    too_fast: np.ndarray  # (steps,): some joint rate exceeds its limit
+
+
+def _arm_pass(model, path, twist, accel, wrenches, gravity):
+    """Motion and load of one manipulator along its whole IK path."""
+    jac, qdot, qddot, damped = _differential_ik(model, path, twist, accel)
+    return _ArmPass(
+        jt_hd=np.matmul(jac.transpose(0, 2, 1), wrenches[:, :, None])[..., 0],
+        tau_prime=_inverse_dynamics(model, path, qdot, qddot, gravity),
+        damped=damped,
+        too_fast=(np.abs(qdot) > model.velocity_limits).any(axis=1))
+
+
+def _step_sample(config, grasp_map, t, h_d, arms, s):
+    """Run the capability solves for step ``s`` of the grid.
+
+    ``arms`` holds each manipulator's pass over the grid; the step reads row
+    ``s`` of it.  Each manipulator's problem is built once, and a pass
+    changes only the moment.
     """
-    h_d = object_desired_wrench(config.object, state, config.gravity)
     step_flags = set()
-    # every point of a translating body moves alike: one planar twist
-    # (px, pz, wy) for all arms
-    ee_twist = np.append(state.linear_velocity[::2], 0.0)
-    ee_accel = np.append(state.linear_accel[::2], 0.0)
-
     problems = []
-    for model, q in zip(config.manipulators, joints):
-        motion = differential_ik(model, q, ee_twist, ee_accel)
-        if motion.damped:
+    for model, arm in zip(config.manipulators, arms):
+        if arm.damped[s]:
             step_flags.add(FLAG_SINGULAR)
-        if (np.abs(motion.qdot) > model.velocity_limits).any():
+        if arm.too_fast[s]:
             step_flags.add(FLAG_VELOCITY)
-        tau_prime = inverse_dynamics(
-            model, JointState(q, motion.qdot, motion.qddot), config.gravity)
         problems.append(CapabilityProblem(
-            jt_hd=jacobian(model, q).T @ h_d, tau_prime=tau_prime,
+            jt_hd=arm.jt_hd[s], tau_prime=arm.tau_prime[s],
             tau_max=model.torque_limits))
 
     cap = config.unbounded_cap
@@ -206,10 +219,20 @@ def run_scenario(config):
     times = time_grid(config)
     states = [evaluate_trajectory(config.trajectory, t) for t in times]
     ik_paths = _solve_ik_paths(config, states)
+    wrenches = np.array([object_desired_wrench(config.object, state,
+                                               config.gravity)
+                         for state in states])
+    # every point of a translating body moves alike: one planar twist
+    # (px, pz, wy) per step for all arms
+    twist, accel = np.zeros((2, len(states), 3))
+    twist[:, :2] = [state.linear_velocity[::2] for state in states]
+    accel[:, :2] = [state.linear_accel[::2] for state in states]
+    arms = [_arm_pass(model, path, twist, accel, wrenches, config.gravity)
+            for model, path in zip(config.manipulators, ik_paths)]
     grasp_map = GraspMap.from_object(config.object)
     samples = tuple(
-        _step_sample(config, grasp_map, state, float(t), joints)
-        for state, t, joints in zip(states, times, zip(*ik_paths)))
+        _step_sample(config, grasp_map, float(t), h_d, arms, s)
+        for s, (t, h_d) in enumerate(zip(times, wrenches)))
     return RunResult(config=config, samples=samples,
                      summary=summarize(samples))
 

@@ -14,6 +14,16 @@ whole-array builds; each rewrite is held to the same output bits.  The
 frozen joint program is also the linear-program cross-check of the
 package's breakpoint sweep, which replaced it.
 
+``exact_differential_ik`` is the frozen differential IK with its
+finite-difference Jacobian derivative replaced by Richardson extrapolation
+of the frozen Jacobian, an exact oracle for the package's closed-form
+J-dot.  ``reference_run`` is the run pipeline as it was before the arm
+pass was batched over the time grid: every step solves each arm's
+differential IK (frozen, finite-difference J-dot) and a math-float copy of
+the inverse dynamics on their own, then the capability solves.  It reuses
+the package's public trajectory, closed-form IK, grasp and capability
+functions, which their own oracles hold.
+
 ``joint_optimality_violations`` checks any joint result without a solver
 of the joint program: its torque rows and shares, and the equal-marginal
 rule on slopes read from the package's scalar solve.
@@ -26,11 +36,18 @@ wrenches through explicit 6x6 maps, and ``feasible_wrench_check`` tests one
 wrench scale against every torque limit.
 """
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
+from coopwrench import (AllocationWeights, GraspMap, ZeroCapabilityError,
+                        allocate_proportional, counterbalance_moment,
+                        ee_pose_from_object, evaluate_trajectory,
+                        group_capability, group_capability_joint,
+                        ik_planar3r, object_desired_wrench, time_grid)
+from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_SINGULAR,
+                                   FLAG_UNBOUNDED, FLAG_VELOCITY,
+                                   CapabilityProblem, CapabilitySample,
                                    GroupCapability, capability_scalar)
 from coopwrench.config import DEFAULT_UNBOUNDED_CAP
 from coopwrench.dynamics import inverse_dynamics
@@ -292,6 +309,174 @@ def reference_differential_ik(model, state, ee_twist, ee_accel):
     rhs = ee_accel[[0, 2, 4]] - _reference_planar_block(jdot) @ qdot
     qddot, damped_acc = _reference_solve_planar(J3, rhs)
     return DifferentialIk(qdot, qddot, damped_vel or damped_acc)
+
+
+def _richardson_jacobian_rate(model, q, qdot, levels=4):
+    """dJ/dt along q(t) = q + t qdot, by Richardson-extrapolated central
+    differences of reference_jacobian.
+
+    Each level halves the step and cancels the next even power of it from
+    the truncation error.
+    """
+    step = 1e-2 / max(1.0, float(np.max(np.abs(qdot))))
+    previous = []
+    for level in range(levels):
+        h = step / 2 ** level
+        row = [(reference_jacobian(model, q + h * qdot)
+                - reference_jacobian(model, q - h * qdot)) / (2.0 * h)]
+        for j, coarser in enumerate(previous):
+            row.append(row[j] + (row[j] - coarser) / (4 ** (j + 1) - 1))
+        previous = row
+    return previous[-1]
+
+
+def exact_differential_ik(model, q, ee_twist, ee_accel):
+    """reference_differential_ik with J-dot from _richardson_jacobian_rate.
+
+    Takes the same 6-row twists; the solves and the damping rule are the
+    frozen ones, so only the Jacobian derivative differs.
+    """
+    q = np.asarray(q, dtype=float)
+    ee_twist = np.asarray(ee_twist, dtype=float)
+    ee_accel = np.asarray(ee_accel, dtype=float)
+    J3 = _reference_planar_block(reference_jacobian(model, q))
+    qdot, damped = _reference_solve_planar(J3, ee_twist[[0, 2, 4]])
+    jdot = _reference_planar_block(_richardson_jacobian_rate(model, q, qdot))
+    qddot, _ = _reference_solve_planar(J3, ee_accel[[0, 2, 4]] - jdot @ qdot)
+    return DifferentialIk(qdot, qddot, damped)
+
+
+# Frozen copy of the per-step run pipeline: every step solves each arm's
+# differential IK (with the finite-difference J-dot above) and its inverse
+# dynamics on their own, then runs the capability solves of the mode.
+_REFERENCE_BETA_TOL = 1e-6
+
+
+def reference_inverse_dynamics(model, q, qdot, qddot, gravity):
+    """Planar recursive Newton-Euler, one joint state, in math floats."""
+    accel_x, accel_z = 0.0, gravity  # base acceleration trick
+    links = []
+    for angle, rate, rate_dot, length, com, mass, inertia in zip(
+            accumulate(np.asarray(q, float).tolist()),
+            accumulate(np.asarray(qdot, float).tolist()),
+            accumulate(np.asarray(qddot, float).tolist()),
+            model.link_lengths.tolist(), model.link_com_offsets.tolist(),
+            model.link_masses.tolist(), model.link_inertias.tolist(),
+            strict=True):
+        c, s = math.cos(angle), math.sin(angle)
+        per_x = -rate_dot * s - rate * rate * c
+        per_z = rate_dot * c - rate * rate * s
+        links.append((length * c, length * s, com * c, com * s,
+                      mass * (accel_x + com * per_x),
+                      mass * (accel_z + com * per_z), inertia * rate_dot))
+        accel_x += length * per_x
+        accel_z += length * per_z
+    torques = np.empty(len(links))
+    force_x = force_z = moment = 0.0
+    for i in range(len(links) - 1, -1, -1):
+        tip_x, tip_z, com_x, com_z, inertial_x, inertial_z, spin = links[i]
+        moment += spin + tip_x * force_z - tip_z * force_x \
+            + com_x * inertial_z - com_z * inertial_x
+        force_x += inertial_x
+        force_z += inertial_z
+        torques[i] = moment
+    return torques
+
+
+def _reference_ik_path(model, grasp_point, states):
+    """Closed-form IK at every state, continuing the previous branch."""
+    path, previous = [], None
+    for state in states:
+        solutions = ik_planar3r(model, ee_pose_from_object(state,
+                                                           grasp_point))
+        if not solutions:
+            raise AssertionError("reference_run needs reachable scenarios")
+        if previous is None:
+            # elbow-out: the elbow farthest from the object
+            previous = max(solutions, key=lambda q: float(np.linalg.norm(
+                reference_joint_positions(model, q)[1] - state.position)))
+        else:
+            wrapped = [previous + ((q - previous + math.pi) % (2.0 * math.pi)
+                                   - math.pi) for q in solutions]
+            previous = min(wrapped, key=lambda q: float(
+                np.linalg.norm(q - previous)))
+        path.append(previous)
+    return path
+
+
+def _reference_step(config, grasp_map, state, t, joints):
+    h_d = object_desired_wrench(config.object, state, config.gravity)
+    flags = set()
+    zero = np.zeros(3)
+    twist = np.concatenate([state.linear_velocity, zero])
+    accel = np.concatenate([state.linear_accel, zero])
+    problems = []
+    for model, q in zip(config.manipulators, joints):
+        motion = reference_differential_ik(model, q, twist, accel)
+        if motion.damped:
+            flags.add(FLAG_SINGULAR)
+        if (np.abs(motion.qdot) > model.velocity_limits).any():
+            flags.add(FLAG_VELOCITY)
+        problems.append(CapabilityProblem(
+            jt_hd=reference_jacobian(model, q).T @ h_d,
+            tau_prime=reference_inverse_dynamics(
+                model, q, motion.qdot, motion.qddot, config.gravity),
+            tau_max=model.torque_limits))
+    cap = config.unbounded_cap
+    count = len(problems)
+    k0 = np.empty(count)
+    for a, problem in enumerate(problems):
+        k0[a], flag = capability_scalar(problem, unbounded_cap=cap)
+        if flag is not None:
+            flags.add(flag)
+
+    def shares(k_vector):
+        if config.beta_policy == "uniform":
+            return np.full(count, 1.0 / count)
+        try:
+            return allocate_proportional(k_vector)
+        except ZeroCapabilityError:
+            return np.full(count, 1.0 / count)
+
+    beta = shares(k0)
+    if config.mode == "baseline":
+        t_delta, _ = counterbalance_moment(AllocationWeights(beta), grasp_map,
+                                           h_d[:3])
+        return CapabilitySample(time=t, k=k0, K0=float(np.sum(k0)), K1=None,
+                                beta=beta, alpha=None, t_delta=t_delta,
+                                flags=flags)
+    for _ in range(config.beta_iterations + 1):
+        used = beta
+        t_delta, h_delta = counterbalance_moment(AllocationWeights(beta),
+                                                 grasp_map, h_d[:3])
+        moment = float(_REFERENCE_JOINT_AXIS @ h_delta[3:])
+        if config.mode == "improved-joint":
+            improved = group_capability_joint(problems, moment,
+                                              unbounded_cap=cap)
+        else:
+            improved = group_capability(problems, beta, moment,
+                                        unbounded_cap=cap)
+        if improved.K1 <= 0.0:
+            break
+        refined = shares(improved.k)
+        if float(np.max(np.abs(refined - beta))) <= _REFERENCE_BETA_TOL:
+            break
+        beta = refined
+    return CapabilitySample(time=t, k=improved.k, K0=float(np.sum(k0)),
+                            K1=improved.K1, beta=used, alpha=improved.alpha,
+                            t_delta=t_delta, flags=flags | improved.flags)
+
+
+def reference_run(config):
+    """The samples run_scenario(config) gives, computed step by step."""
+    times = time_grid(config)
+    states = [evaluate_trajectory(config.trajectory, t) for t in times]
+    paths = [_reference_ik_path(model, grasp_point, states)
+             for model, grasp_point in zip(config.manipulators,
+                                           config.object.grasp_points)]
+    grasp_map = GraspMap.from_object(config.object)
+    return tuple(_reference_step(config, grasp_map, state, float(t), joints)
+                 for state, t, joints in zip(states, times, zip(*paths)))
 
 
 # Frozen copy of the row-by-row assembly of the joint program and of the

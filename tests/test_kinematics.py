@@ -5,6 +5,8 @@ Rodrigues' rotation formula, sharing no code with the cumulative-angle
 implementation under test.  Jacobians are checked column-by-column against
 central finite differences of the oracle-verified forward kinematics.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,20 @@ from coopwrench import (JointState, ObjectState, Pose,
                         ScenarioValidationError, asymmetric_scenario,
                         differential_ik, ee_pose_from_object,
                         evaluate_trajectory, forward_kinematics, ik_planar3r,
-                        jacobian, joint_positions, reference_scenario,
-                        time_grid)
-from coopwrench.kinematics import JOINT_AXIS
+                        inverse_dynamics, jacobian, joint_positions,
+                        reference_scenario, runner, time_grid)
+from coopwrench.dynamics import _inverse_dynamics
+from coopwrench.kinematics import JOINT_AXIS, _differential_ik
 from coopwrench.runner import _solve_ik_paths
-from oracles import (reference_differential_ik, reference_jacobian,
-                     reference_joint_positions, rodrigues, transform_chain_fk)
+from oracles import (exact_differential_ik, reference_differential_ik,
+                     reference_jacobian, reference_joint_positions, rodrigues,
+                     transform_chain_fk)
+
+# qddot against the exact oracle, and against the frozen finite-difference
+# J-dot, as a share of max(1, |qddot|); both are well above what the
+# built-in arms reach (4.4e-10 and 3.9e-7 near a singularity)
+EXACT_QDDOT_TOL = 1e-8
+FROZEN_QDDOT_TOL = 1e-5
 
 
 def make_arm(base=(0.0, 0.0, 0.0), lengths=(0.1, 0.1, 0.1)):
@@ -263,15 +273,26 @@ def assert_same_bits(actual, expected):
 
 
 def assert_kinematics_match_reference(arm, q, twist, accel):
+    """Bit for bit where the frozen reference is exact, qddot to tolerance.
+
+    The frozen reference's J-dot is a finite difference; the package's is
+    exact, so qddot is held to the exact oracle and, loosely, to the frozen
+    value.
+    """
     assert_same_bits(joint_positions(arm, q),
                      reference_joint_positions(arm, q))
     assert_same_bits(jacobian(arm, q), reference_jacobian(arm, q))
-    # the reference takes 6-row twists whose py, wx and wz rows are zero
+    # the references take 6-row twists whose py, wx and wz rows are zero
     motion = differential_ik(arm, q, twist[[0, 2, 4]], accel[[0, 2, 4]])
     frozen = reference_differential_ik(arm, q, twist, accel)
     assert_same_bits(motion.qdot, frozen.qdot)
-    assert_same_bits(motion.qddot, frozen.qddot)
     assert motion.damped == frozen.damped
+    exact = exact_differential_ik(arm, q, twist, accel)
+    scale = max(1.0, float(np.max(np.abs(exact.qddot))))
+    assert np.max(np.abs(motion.qddot - exact.qddot)) \
+        <= EXACT_QDDOT_TOL * scale
+    assert np.max(np.abs(motion.qddot - frozen.qddot)) \
+        <= FROZEN_QDDOT_TOL * scale
     return motion.damped
 
 
@@ -281,11 +302,10 @@ BUILT_IN_ARMS = [
     for arm in scenario().manipulators]
 
 
-@pytest.mark.parametrize("arm", BUILT_IN_ARMS)
-def test_kinematics_match_frozen_reference_bit_for_bit(arm):
-    """Random states, half of them within 1e-7 of a straight or folded elbow."""
+def random_states(arm):
+    """400 (q, twist, accel) with 6-row twists; every second q lies within
+    1e-7 of a straight or folded elbow."""
     rng = np.random.default_rng(arm.id)
-    damped = 0
     for i in range(400):
         q = rng.uniform(-np.pi, np.pi, 3)
         if i % 2:
@@ -293,8 +313,47 @@ def test_kinematics_match_frozen_reference_bit_for_bit(arm):
         twist, accel = np.zeros(6), np.zeros(6)
         twist[[0, 2, 4]] = rng.normal(size=3)
         accel[[0, 2, 4]] = rng.normal(size=3)
-        damped += assert_kinematics_match_reference(arm, q, twist, accel)
+        yield q, twist, accel
+
+
+@pytest.mark.parametrize("arm", BUILT_IN_ARMS)
+def test_kinematics_match_frozen_reference_bit_for_bit(arm):
+    """Random states, half of them within 1e-7 of a straight or folded elbow."""
+    damped = sum(assert_kinematics_match_reference(arm, *state)
+                 for state in random_states(arm))
     assert damped > 0
+
+
+@pytest.mark.parametrize("arm", BUILT_IN_ARMS)
+def test_batched_rows_equal_per_call_results_bit_for_bit(arm):
+    """One code path: a stack of states gives each row's per-call result.
+
+    The stack mixes damped and undamped rows, so both solves run batched.
+    """
+    qs, twists, accels = zip(*random_states(arm))
+    q = np.array(qs)
+    twist = np.array(twists)[:, [0, 2, 4]]
+    accel = np.array(accels)[:, [0, 2, 4]]
+    wrenches = np.random.default_rng(300 + arm.id).normal(size=(len(q), 6))
+    gravity = 9.8067
+    jac, qdot, qddot, damped = _differential_ik(arm, q, twist, accel)
+    tau_prime = _inverse_dynamics(arm, q, qdot, qddot, gravity)
+    loads = runner._arm_pass(arm, q, twist, accel, wrenches, gravity)
+    assert 0 < damped.sum() < len(q)
+    for s in range(len(q)):
+        motion = differential_ik(arm, q[s], twist[s], accel[s])
+        assert_same_bits(qdot[s], motion.qdot)
+        assert_same_bits(qddot[s], motion.qddot)
+        assert damped[s] == loads.damped[s] == motion.damped
+        assert_same_bits(jac[s], jacobian(arm, q[s]))
+        assert_same_bits(loads.jt_hd[s],
+                         jacobian(arm, q[s]).T @ wrenches[s])
+        tau = inverse_dynamics(
+            arm, JointState(q[s], motion.qdot, motion.qddot), gravity)
+        assert_same_bits(tau_prime[s], tau)
+        assert_same_bits(loads.tau_prime[s], tau)
+        assert loads.too_fast[s] == \
+            (np.abs(motion.qdot) > arm.velocity_limits).any()
 
 
 @pytest.mark.parametrize("arm", BUILT_IN_ARMS)
@@ -331,10 +390,16 @@ def test_kinematics_match_frozen_reference_along_ik_paths(scenario):
 @pytest.mark.parametrize("length", [1, 2, 4])
 def test_joint_count_mismatch_is_rejected(length):
     arm = make_arm()
-    with pytest.raises(ValueError):
-        jacobian(arm, np.zeros(length))
-    with pytest.raises(ValueError):
-        joint_positions(arm, np.zeros(length))
+    q = np.zeros(length)
+    message = re.escape(f"q must have 3 entries, got shape ({length},)")
+    with pytest.raises(ValueError, match=message):
+        jacobian(arm, q)
+    with pytest.raises(ValueError, match=message):
+        joint_positions(arm, q)
+    with pytest.raises(ValueError, match=message):
+        differential_ik(arm, q, np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match=message):
+        inverse_dynamics(arm, JointState(q, q, q), 9.8067)
 
 
 def test_joint_state_requires_rates_and_freezes_them():

@@ -8,11 +8,12 @@ import pytest
 
 from coopwrench import (MODES, AllocationWeights, ExportError, GraspMap,
                         RunResult, TrajectoryError, TrajectorySpec,
-                        asymmetric_scenario, capability, evaluate_trajectory,
-                        export, object_desired_wrench, reference_scenario,
-                        runner, run_scenario, summarize, time_grid)
+                        asymmetric_scenario, capability, dynamics,
+                        evaluate_trajectory, export, kinematics,
+                        object_desired_wrench, reference_scenario, runner,
+                        run_scenario, summarize, time_grid)
 from coopwrench.runner import emit_plot_data, result_dict
-from oracles import object_wrench_from_ee
+from oracles import object_wrench_from_ee, reference_run
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,65 @@ def test_each_arm_problem_is_built_once_per_step(monkeypatch, mode):
         beta_iterations=2))
     arms = len(result.config.manipulators)
     assert len(built) == arms * len(result.samples) == 4 * 11
+
+
+def test_run_makes_one_arm_pass_per_arm(monkeypatch):
+    """Motion and load come from one batched call per arm and run."""
+    calls = {"_differential_ik": 0, "_inverse_dynamics": 0}
+
+    def counting(name):
+        kernel = getattr(runner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return counted
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-call form ran inside run_scenario")
+
+    for name in calls:
+        monkeypatch.setattr(runner, name, counting(name))
+    for module, name in ((kinematics, "differential_ik"),
+                         (kinematics, "jacobian"),
+                         (dynamics, "inverse_dynamics")):
+        monkeypatch.setattr(module, name, forbidden)
+    result = run_scenario(dataclasses.replace(
+        asymmetric_scenario(), dt=0.5, cycles=1))
+    arms = len(result.config.manipulators)
+    assert len(result.samples) == 11
+    assert calls == {"_differential_ik": arms, "_inverse_dynamics": arms}
+
+
+def assert_close(actual, expected, tol=1e-9):
+    assert abs(actual - expected) <= tol * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("beta_iterations", [0, 2])
+@pytest.mark.parametrize("mode", ["baseline", "both", "improved-joint"])
+@pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
+def test_run_matches_frozen_per_step_pipeline(scenario, mode,
+                                              beta_iterations):
+    """The batched arm pass reproduces the step-by-step pipeline.
+
+    oracles.reference_run solves each arm's differential IK (with the
+    frozen finite-difference J-dot) and inverse dynamics at every step on
+    its own; k, K0 and K1 agree to 1e-9 relative, flags exactly.
+    """
+    config = dataclasses.replace(scenario(), mode=mode, dt=0.05, cycles=1,
+                                 beta_iterations=beta_iterations)
+    samples = run_scenario(config).samples
+    frozen = reference_run(config)
+    assert len(samples) == len(frozen) == 101
+    for sample, expected in zip(samples, frozen):
+        assert sample.time == expected.time
+        assert sample.flags == expected.flags
+        assert_close(sample.K0, expected.K0)
+        assert (sample.K1 is None) == (expected.K1 is None)
+        if expected.K1 is not None:
+            assert_close(sample.K1, expected.K1)
+        for k, k_expected in zip(sample.k, expected.k, strict=True):
+            assert_close(k, k_expected)
 
 
 def test_run_scenario_has_no_thread_option():
