@@ -112,26 +112,24 @@ def capability_scalar(problem, *, moment=0.0,
     """
     moment = _check_moment(moment)
     _check_cap(unbounded_cap)
-    offset = problem.tau_prime + moment
-    a = problem.jt_hd
-    tau = problem.tau_max
-    fixed = a == 0.0
-    if fixed.any():
-        if (np.abs(offset[fixed]) > tau[fixed]).any():
-            return ScalarCapability(0.0, FLAG_INFEASIBLE)
-        active = ~fixed
-        if not active.any():
-            return ScalarCapability(float(unbounded_cap), FLAG_UNBOUNDED)
-        a, offset, tau = a[active], offset[active], tau[active]
-    lo = (-tau - offset) / a
-    hi = (tau - offset) / a
-    lower = float(max(0.0, np.minimum(lo, hi).max()))
-    upper = float(np.maximum(lo, hi).min())
-    if upper < lower:
-        return ScalarCapability(0.0, FLAG_INFEASIBLE)
-    if upper > unbounded_cap:
-        return ScalarCapability(float(unbounded_cap), FLAG_UNBOUNDED)
-    return ScalarCapability(upper, None)
+    k, infeasible, capped = _scalar(problem.jt_hd, problem.tau_prime + moment,
+                                    problem.tau_max, unbounded_cap)
+    return ScalarCapability(float(k), FLAG_INFEASIBLE if infeasible else
+                            FLAG_UNBOUNDED if capped else None)
+
+
+def _scalar(jt_hd, offset, tau_max, cap):
+    """capability_scalar over stacked rows (..., n): k, infeasible, capped."""
+    fixed = jt_hd == 0.0
+    a = np.where(fixed, 1.0, jt_hd)
+    lo, hi = (-tau_max - offset) / a, (tau_max - offset) / a
+    lower = np.where(fixed, -np.inf, np.minimum(lo, hi)).max(axis=-1)
+    upper = np.where(fixed, np.inf, np.maximum(lo, hi)).min(axis=-1)
+    infeasible = (fixed & (np.abs(offset) > tau_max)).any(axis=-1) \
+        | (upper < np.maximum(lower, 0.0))
+    capped = ~infeasible & (upper > cap)
+    return (np.where(infeasible, 0.0, np.where(capped, cap, upper)),
+            infeasible, capped)
 
 
 class GroupCapability(NamedTuple):
@@ -212,7 +210,7 @@ class _Profile(NamedTuple):
     pieces: list
 
 
-def _arm_profile(problem, cap):
+def _arm_profile(jt_hd, tau_prime, tau_max, cap):
     """One arm's capability k(mu) as a function of the moment mu it takes.
 
     Each torque row with a nonzero jt_hd entry a holds (mu, k) between two
@@ -223,9 +221,8 @@ def _arm_profile(problem, cap):
     """
     ends = [[-math.inf, None], [math.inf, None]]  # (mu, k) at low, high
     lowers, uppers = [(0.0, 0.0, 0.0)], [(float(cap), 0.0, 0.0)]
-    for a, prime, tau in zip(problem.jt_hd.tolist(),
-                             problem.tau_prime.tolist(),
-                             problem.tau_max.tolist()):
+    for a, prime, tau in zip(jt_hd.tolist(), tau_prime.tolist(),
+                             tau_max.tolist()):
         below, above = -tau - prime, tau - prime
         if a == 0.0:
             if below > ends[0][0]:
@@ -300,22 +297,26 @@ def group_capability_joint(problems, moment, *,
     """
     moment = _check_moment(moment)
     _check_cap(unbounded_cap)
-    count = len(problems)
+    return _joint([(p.jt_hd, p.tau_prime, p.tau_max) for p in problems],
+                  moment, unbounded_cap)
+
+
+def _joint(arms, moment, unbounded_cap):
+    """The joint solve on (jt_hd, tau_prime, tau_max) per arm, unchecked."""
+    count = len(arms)
     infeasible = GroupCapability(np.zeros(count), None,
                                  frozenset({FLAG_INFEASIBLE}))
     if count == 0:
         return infeasible
     if moment == 0.0:
-        solves = [capability_scalar(problem, unbounded_cap=unbounded_cap)
-                  for problem in problems]
-        if any(solve.flag == FLAG_INFEASIBLE for solve in solves):
+        solves = [_scalar(*arm, unbounded_cap) for arm in arms]
+        if any(solve[1] for solve in solves):
             return infeasible
-        k = [solve.k for solve in solves]
+        k = [float(solve[0]) for solve in solves]
         alpha = np.zeros(count)
         alpha[0] = 1.0
     else:
-        profiles = [_arm_profile(problem, unbounded_cap)
-                    for problem in problems]
+        profiles = [_arm_profile(*arm, unbounded_cap) for arm in arms]
         if None in profiles:
             return infeasible
         mu = [profile.low for profile in profiles]

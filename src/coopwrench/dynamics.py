@@ -72,8 +72,9 @@ def object_desired_wrench(obj, state, gravity):
 
     Force balances inertia plus weight (hovering therefore needs a purely
     upward force).  The object translates without rotating, so the torque
-    about its CoM is zero and its inertia tensor never enters.
+    about its CoM is zero and its inertia tensor never enters.  A state of
+    (T, 3) stacks gives (T, 6) wrenches.
     """
     force = obj.mass * state.linear_accel \
         + np.array([0.0, 0.0, obj.mass * gravity])
-    return np.concatenate([force, np.zeros(3)])
+    return np.concatenate([force, np.zeros_like(force)], axis=-1)

@@ -78,6 +78,15 @@ def allocate_proportional(capabilities):
     return k / total
 
 
+def _shares(k, uniform):
+    """Load shares of (R, N) capability rows: equal if ``uniform`` or where
+    a row sums to 0, else proportional."""
+    even = np.full(k.shape, 1.0 / k.shape[1])
+    total = k.sum(axis=1, keepdims=True)
+    return even if uniform else np.where(
+        total > 0.0, k / np.where(total > 0.0, total, 1.0), even)
+
+
 def counterbalance_moment(weights, grasp_map, object_force):
     """Moment induced by off-CoM force application, and its compensation.
 
@@ -95,8 +104,11 @@ def counterbalance_moment(weights, grasp_map, object_force):
     if weights.beta.size != grasp_map.count:
         raise ValueError(f"{weights.beta.size} shares for "
                          f"{grasp_map.count} grasp points")
-    cx, cy, cz = (weights.beta @ grasp_map.grasp_vectors).tolist()
-    fx, fy, fz = force.tolist()
-    induced = np.array([cy * fz - cz * fy, cz * fx - cx * fz,
-                        cx * fy - cy * fx])
+    induced = _induced(weights.beta[None], grasp_map.grasp_vectors,
+                       force[None])[0]
     return induced, np.concatenate([np.zeros(3), -induced])
+
+
+def _induced(beta, grasp_vectors, force):
+    """Induced moments of (R, N) share rows splitting (R, 3) forces."""
+    return np.cross(np.matmul(beta[:, None, :], grasp_vectors)[:, 0], force)

@@ -131,6 +131,33 @@ def jacobian(model, q):
     return _jacobians(model, *_link_vectors(model, q[None]))[0]
 
 
+def _ik(model, position, pitch):
+    """Both elbow branches of the closed-form IK over (T, 3) target positions.
+
+    Returns the (T, 2, 3) joint angles and the (T,) count of solutions: 0
+    out of the plane or out of reach, 1 at the straight-arm boundary, where
+    the second branch repeats the first.
+    """
+    base = model.base_position
+    l1, l2, l3 = model.link_lengths
+    wrist_u = position[:, 0] - l3 * np.cos(pitch) - base[0]
+    wrist_v = position[:, 2] - l3 * np.sin(pitch) - base[2]
+    rr = wrist_u ** 2 + wrist_v ** 2
+    cos_elbow = (rr - l1 ** 2 - l2 ** 2) / (2.0 * l1 * l2)
+    elbow = np.arccos(np.clip(cos_elbow, -1.0, 1.0))
+    q2 = np.stack([elbow, -elbow], axis=1)
+    q1 = np.arctan2(wrist_v, wrist_u)[:, None] \
+        - np.arctan2(l2 * np.sin(q2), l1 + l2 * np.cos(q2))
+    q = np.stack([q1, q2, pitch - q1 - q2], axis=2)
+    single = np.abs(q[:, 0] - q[:, 1]).max(axis=1) < 1e-10
+    q[single, 1] = q[single, 0]
+    count = 2 - single
+    # out-of-plane targets are unreachable for a planar chain
+    count[(np.abs(position[:, 1] - base[1]) > 1e-9)
+          | (np.abs(cos_elbow) > 1.0 + 1e-9)] = 0
+    return q, count
+
+
 def ik_planar3r(model, target):
     """Closed-form inverse kinematics for a 3-link planar chain.
 
@@ -141,29 +168,40 @@ def ik_planar3r(model, target):
     """
     if model.joint_count != 3:
         raise ValueError("ik_planar3r requires a 3-joint model")
-    p, pitch = target.position, target.pitch
-    base = model.base_position
-    # out-of-plane targets are unreachable for a planar chain
-    if abs(p[1] - base[1]) > 1e-9:
-        return []
-    l1, l2, l3 = model.link_lengths
-    wrist_u = p[0] - l3 * np.cos(pitch) - base[0]
-    wrist_v = p[2] - l3 * np.sin(pitch) - base[2]
-    rr = wrist_u ** 2 + wrist_v ** 2
-    cos_elbow = (rr - l1 ** 2 - l2 ** 2) / (2.0 * l1 * l2)
-    if abs(cos_elbow) > 1.0 + 1e-9:
-        return []
-    cos_elbow = min(1.0, max(-1.0, cos_elbow))
-    elbow = float(np.arccos(cos_elbow))
-    solutions = []
-    for q2 in (elbow, -elbow):
-        q1 = float(np.arctan2(wrist_v, wrist_u)
-                   - np.arctan2(l2 * np.sin(q2), l1 + l2 * np.cos(q2)))
-        q3 = pitch - q1 - q2
-        solutions.append(np.array([q1, q2, q3]))
-    if np.abs(solutions[0] - solutions[1]).max() < 1e-10:
-        return solutions[:1]
-    return solutions
+    q, count = _ik(model, target.position[None], target.pitch)
+    return list(q[0, :count[0]])
+
+
+def _norms(d):
+    """Norms along the last axis, kept as an axis of length 1: the bits of
+    np.linalg.norm on each vector, so branch ties break as it breaks them."""
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None]))[..., 0]
+
+
+def _branches(models, q, position):
+    """Each arm's path through its (steps, arms, 2, 3) IK branches.
+
+    An arm starts on the branch whose elbow lies farther from the object
+    at ``position``, then takes the branch nearer its previous joint
+    angles, each wrapped to within pi of them.  Returns (arms, steps, 3).
+    """
+    base = np.array([model.base_position for model in models])
+    upper = np.array([model.link_lengths[:1] for model in models])
+    angle = q[0, ..., :1]
+    elbow = base[:, None] + upper[:, None] * np.concatenate(
+        [np.cos(angle), np.zeros_like(angle), np.sin(angle)], axis=-1)
+    dist = _norms(elbow - position)
+    previous = np.where(dist[:, 1] > dist[:, 0], q[0, :, 1], q[0, :, 0])
+    paths = np.empty((len(base), len(q), 3))
+    paths[:, 0] = previous
+    for s in range(1, len(q)):
+        near = previous[:, None]
+        wrapped = near + ((q[s] - near + math.pi) % (2.0 * math.pi) - math.pi)
+        dist = _norms(wrapped - near)
+        previous = np.where(dist[:, 1] < dist[:, 0], wrapped[:, 1],
+                            wrapped[:, 0])
+        paths[:, s] = previous
+    return paths
 
 
 class DifferentialIk(NamedTuple):

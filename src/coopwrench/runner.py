@@ -1,34 +1,26 @@
 """Trajectory runner: capability evaluation over a time grid and export.
 
-A run samples the object trajectory at every step, solves each
-manipulator's closed-form inverse kinematics along it, and then makes one
-pass per manipulator over the whole grid: joint rates and accelerations
-from differential inverse kinematics, chain self-load torques from inverse
-dynamics, and the joint-torque image of the desired object wrench, all as
-(steps, joints) arrays.  The capability solves for the configured mode then
-run step by step, in order, on those rows.  The load-share vector comes
-from the baseline solve, so every mode computes the baseline series;
-improved modes add the counterbalanced series on the identical states, and
-every pass solves each manipulator once.
+A run works on whole (steps, ...) arrays: the object trajectory, each
+manipulator's closed-form IK, motion and load, and the baseline solve.
+Only the IK branch choice, which follows the previous step, loops over the
+steps, for all manipulators at once.  The baseline scalars set the load
+shares; improved modes add the counterbalanced series on the identical
+states, refining the shares of every unsettled step in lockstep.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .capability import (FLAG_SINGULAR, FLAG_VELOCITY, CapabilityProblem,
-                         CapabilitySample, capability_scalar,
-                         group_capability, group_capability_joint)
+from .capability import (FLAG_INFEASIBLE, FLAG_SINGULAR, FLAG_UNBOUNDED,
+                         FLAG_VELOCITY, CapabilitySample, _joint, _scalar)
 from .config import ObjectState, scenario_dict
 from .dynamics import _inverse_dynamics, object_desired_wrench
-from .grasp import (AllocationWeights, GraspMap, ZeroCapabilityError,
-                    allocate_proportional, counterbalance_moment)
-from .kinematics import (JOINT_AXIS, _differential_ik, ee_pose_from_object,
-                         ik_planar3r, joint_positions)
+from .grasp import GraspMap, _induced, _shares
+from .kinematics import JOINT_AXIS, _branches, _differential_ik, _ik
 
 _BETA_TOL = 1e-6
 
@@ -49,20 +41,29 @@ class ExportError(RuntimeError):
     """Result serialization failed; carries the offending path."""
 
 
-def evaluate_trajectory(spec, t):
-    """Object state at time t; neither trajectory kind rotates the object."""
+# an ObjectState's fields at every step, as (steps, 3) stacks
+_States = NamedTuple("_States", [(name, np.ndarray) for name in (
+    "position", "linear_velocity", "linear_accel")])
+
+
+def _trajectory(spec, t):
+    """Object states at the times t; neither trajectory kind rotates it."""
     if spec.kind == "static-hold":
-        zero = np.zeros(3)
-        return ObjectState(spec.center, zero, zero)
+        zero = np.zeros((len(t), 3))
+        return _States(np.tile(spec.center, (len(t), 1)), zero, zero)
     w = spec.angular_rate
     angle = w * t
-    radial = np.array([math.cos(angle), 0.0, math.sin(angle)])
-    tangent = np.array([-math.sin(angle), 0.0, math.cos(angle)])
-    return ObjectState(
-        position=spec.center + spec.radius * radial,
-        linear_velocity=spec.radius * w * tangent,
-        linear_accel=-spec.radius * w * w * radial,
-    )
+    cos, sin, zero = np.cos(angle), np.sin(angle), np.zeros_like(angle)
+    radial = np.stack([cos, zero, sin], axis=1)
+    tangent = np.stack([-sin, zero, cos], axis=1)
+    return _States(spec.center + spec.radius * radial,
+                   spec.radius * w * tangent, -spec.radius * w * w * radial)
+
+
+def evaluate_trajectory(spec, t):
+    """Object state at time t."""
+    return ObjectState(*(field[0] for field in
+                         _trajectory(spec, np.array([t], dtype=float))))
 
 
 def time_grid(config):
@@ -70,38 +71,22 @@ def time_grid(config):
     return np.arange(config.step_count + 1) * config.dt
 
 
-def _wrap_angle(delta):
-    return (delta + math.pi) % (2.0 * math.pi) - math.pi
+def _ik_paths(config, position):
+    """Every manipulator's joint positions at every step: (arms, steps, 3).
 
-
-def _select_branch(model, solutions, previous, object_position):
-    """Pick an IK branch: continuity, or elbow-out at the first step."""
-    if previous is None:
-        def score(q):
-            elbow = joint_positions(model, q)[1]
-            return -float(np.linalg.norm(elbow - object_position))
-        return min(solutions, key=score)
-    wrapped = [previous + _wrap_angle(q - previous) for q in solutions]
-    return min(wrapped, key=lambda q: float(np.linalg.norm(q - previous)))
-
-
-def _solve_ik_paths(config, states):
-    """Joint positions for every manipulator at every step, or abort."""
-    paths = []
+    Aborts at the first arm, in order, that cannot reach, at its first such
+    step."""
+    solutions = []
     for model, grasp_point in zip(config.manipulators,
                                   config.object.grasp_points):
-        path = np.empty((len(states), model.joint_count))
-        previous = None
-        for s, state in enumerate(states):
-            target = ee_pose_from_object(state, grasp_point)
-            solutions = ik_planar3r(model, target)
-            if not solutions:
-                raise TrajectoryError(s, model.id, target.position)
-            previous = _select_branch(model, solutions, previous,
-                                      state.position)
-            path[s] = previous
-        paths.append(path)
-    return paths
+        target = position + grasp_point
+        q, count = _ik(model, target, 0.0)
+        if not count.all():
+            step = int(np.argmin(count))
+            raise TrajectoryError(step, model.id, target[step])
+        solutions.append(q)
+    return _branches(config.manipulators, np.stack(solutions, axis=1),
+                     position[0])
 
 
 class _ArmPass(NamedTuple):
@@ -123,70 +108,56 @@ def _arm_pass(model, path, twist, accel, wrenches, gravity):
         too_fast=(np.abs(qdot) > model.velocity_limits).any(axis=1))
 
 
-def _step_sample(config, grasp_map, t, h_d, arms, s):
-    """Run the capability solves for step ``s`` of the grid.
+def _samples(config, times, wrenches, arms):
+    """Every step's CapabilitySample, from the manipulators' passes."""
+    cap, steps = config.unbounded_cap, len(times)
+    # (steps, arms, joints) and (steps, arms) stacks
+    jt_hd, tau_prime, damped, too_fast = (np.stack(part, axis=1)
+                                          for part in zip(*arms))
+    tau_max = np.array([model.torque_limits for model in config.manipulators])
+    k0, infeasible, capped = _scalar(jt_hd, tau_prime, tau_max, cap)
+    names = (FLAG_SINGULAR, FLAG_VELOCITY, FLAG_INFEASIBLE, FLAG_UNBOUNDED)
+    hits = np.stack([damped, too_fast, infeasible, capped], axis=1)
+    flags = [{n for n, hit in zip(names, row) if hit}
+             for row in hits.any(axis=2).tolist()]
 
-    ``arms`` holds each manipulator's pass over the grid; the step reads row
-    ``s`` of it.  Each manipulator's problem is built once, and a pass
-    changes only the moment.
-    """
-    step_flags = set()
-    problems = []
-    for model, arm in zip(config.manipulators, arms):
-        if arm.damped[s]:
-            step_flags.add(FLAG_SINGULAR)
-        if arm.too_fast[s]:
-            step_flags.add(FLAG_VELOCITY)
-        problems.append(CapabilityProblem(
-            jt_hd=arm.jt_hd[s], tau_prime=arm.tau_prime[s],
-            tau_max=model.torque_limits))
-
-    cap = config.unbounded_cap
-    count = len(problems)
-    k0 = np.empty(count)
-    for a, problem in enumerate(problems):
-        k0[a], flag = capability_scalar(problem, unbounded_cap=cap)
-        if flag is not None:
-            step_flags.add(flag)
-    K0 = float(np.sum(k0))
-
-    def shares(k_vector):
-        if config.beta_policy == "uniform":
-            return np.full(count, 1.0 / count)
-        try:
-            return allocate_proportional(k_vector)
-        except ZeroCapabilityError:
-            return np.full(count, 1.0 / count)
-
-    beta = shares(k0)
-
-    if config.mode == "baseline":
-        t_delta, _ = counterbalance_moment(
-            AllocationWeights(beta), grasp_map, h_d[:3])
-        return CapabilitySample(time=t, k=k0, K0=K0, K1=None, beta=beta,
-                                alpha=None, t_delta=t_delta, flags=step_flags)
-
+    grasp_vectors = GraspMap.from_object(config.object).grasp_vectors
+    uniform = config.beta_policy == "uniform"
+    beta = _shares(k0, uniform)
+    k, used, t_delta = k0.copy(), beta.copy(), np.empty((steps, 3))
+    alpha, solved = [None] * steps, [()] * steps
+    rows = np.arange(steps)  # the steps whose shares are still refined
     for _ in range(config.beta_iterations + 1):
-        weights = AllocationWeights(beta)
-        t_delta, h_delta = counterbalance_moment(weights, grasp_map, h_d[:3])
-        moment = float(JOINT_AXIS @ h_delta[3:])  # alike at every joint
+        b = beta[rows]
+        used[rows] = b
+        t_delta[rows] = _induced(b, grasp_vectors, wrenches[rows, :3])
+        if config.mode == "baseline":
+            break
+        moment = -t_delta[rows] @ JOINT_AXIS  # alike at every joint
         if config.mode == "improved-joint":
-            improved = group_capability_joint(problems, moment,
-                                              unbounded_cap=cap)
+            for s, m in zip(rows.tolist(), moment.tolist()):
+                k[s], alpha[s], solved[s] = _joint(
+                    list(zip(jt_hd[s], tau_prime[s], tau_max)), m, cap)
         else:
-            improved = group_capability(problems, beta, moment,
-                                        unbounded_cap=cap)
-        if improved.K1 <= 0.0:
+            offset = tau_prime[rows] + b[:, :, None] * moment[:, None, None]
+            k[rows], infeasible, capped = _scalar(jt_hd[rows], offset,
+                                                  tau_max, cap)
+            for s, a, *hit in zip(rows.tolist(), b, infeasible.any(axis=1),
+                                  capped.any(axis=1)):
+                alpha[s], solved[s] = a, [n for n, h in zip(names[2:], hit)
+                                          if h]
+        refined = _shares(k[rows], uniform)
+        settled = (k[rows].sum(axis=1) <= 0.0) \
+            | (np.abs(refined - b).max(axis=1) <= _BETA_TOL)
+        beta[rows] = refined
+        rows = rows[~settled]
+        if not rows.size:
             break
-        refined = shares(improved.k)
-        if float(np.max(np.abs(refined - beta))) <= _BETA_TOL:
-            break
-        beta = refined
-    # weights still holds the shares the last pass used, not the refined ones
-    return CapabilitySample(
-        time=t, k=improved.k, K0=K0, K1=improved.K1, beta=weights.beta,
-        alpha=improved.alpha, t_delta=t_delta,
-        flags=step_flags | improved.flags)
+    K0, K1 = k0.sum(axis=1).tolist(), k.sum(axis=1).tolist()
+    return tuple(CapabilitySample(
+        time=t, k=k[s], K0=K0[s], beta=used[s], alpha=alpha[s],
+        K1=None if config.mode == "baseline" else K1[s], t_delta=t_delta[s],
+        flags=flags[s].union(solved[s])) for s, t in enumerate(times.tolist()))
 
 
 def summarize(samples):
@@ -215,24 +186,19 @@ class RunResult:
 
 
 def run_scenario(config):
-    """Evaluate a scenario over its whole time grid, one step after another."""
+    """Evaluate a scenario over its whole time grid."""
     times = time_grid(config)
-    states = [evaluate_trajectory(config.trajectory, t) for t in times]
-    ik_paths = _solve_ik_paths(config, states)
-    wrenches = np.array([object_desired_wrench(config.object, state,
-                                               config.gravity)
-                         for state in states])
+    states = _trajectory(config.trajectory, times)
+    paths = _ik_paths(config, states.position)
+    wrenches = object_desired_wrench(config.object, states, config.gravity)
     # every point of a translating body moves alike: one planar twist
     # (px, pz, wy) per step for all arms
-    twist, accel = np.zeros((2, len(states), 3))
-    twist[:, :2] = [state.linear_velocity[::2] for state in states]
-    accel[:, :2] = [state.linear_accel[::2] for state in states]
+    twist, accel = np.zeros((2, len(times), 3))
+    twist[:, :2] = states.linear_velocity[:, ::2]
+    accel[:, :2] = states.linear_accel[:, ::2]
     arms = [_arm_pass(model, path, twist, accel, wrenches, config.gravity)
-            for model, path in zip(config.manipulators, ik_paths)]
-    grasp_map = GraspMap.from_object(config.object)
-    samples = tuple(
-        _step_sample(config, grasp_map, float(t), h_d, arms, s)
-        for s, (t, h_d) in enumerate(zip(times, wrenches)))
+            for model, path in zip(config.manipulators, paths)]
+    samples = _samples(config, times, wrenches, arms)
     return RunResult(config=config, samples=samples,
                      summary=summarize(samples))
 
@@ -242,13 +208,10 @@ def _fmt(value):
 
 
 def _csv_header(count):
-    columns = ["t"]
-    columns += [f"k_{i + 1}" for i in range(count)]
-    columns += ["K0", "K1"]
-    columns += [f"beta_{i + 1}" for i in range(count)]
-    columns += [f"alpha_{i + 1}" for i in range(count)]
-    columns += ["tdelta_y", "flags"]
-    return columns
+    def per_arm(name):
+        return [f"{name}_{i + 1}" for i in range(count)]
+    return ["t", *per_arm("k"), "K0", "K1", *per_arm("beta"),
+            *per_arm("alpha"), "tdelta_y", "flags"]
 
 
 def _sample_row(sample, count):
@@ -257,10 +220,8 @@ def _sample_row(sample, count):
     row.append(_fmt(sample.K0))
     row.append("" if sample.K1 is None else _fmt(sample.K1))
     row += [_fmt(v) for v in sample.beta]
-    if sample.alpha is None:
-        row += [""] * count
-    else:
-        row += [_fmt(v) for v in sample.alpha]
+    row += [""] * count if sample.alpha is None else \
+        [_fmt(v) for v in sample.alpha]
     row.append(_fmt(sample.t_delta[1]))
     row.append(";".join(sorted(sample.flags)))
     return row
@@ -291,22 +252,14 @@ def export(result, fmt, path):
 
 def result_dict(result):
     """Plain-data mirror of a RunResult (what the JSON export contains)."""
+    def floats(values):
+        return None if values is None else [float(v) for v in values]
     return {
         "config": scenario_dict(result.config),
-        "samples": [
-            {
-                "time": s.time,
-                "k": [float(v) for v in s.k],
-                "K0": s.K0,
-                "K1": s.K1,
-                "beta": [float(v) for v in s.beta],
-                "alpha": None if s.alpha is None else
-                         [float(v) for v in s.alpha],
-                "t_delta": [float(v) for v in s.t_delta],
-                "flags": sorted(s.flags),
-            }
-            for s in result.samples
-        ],
+        "samples": [{"time": s.time, "k": floats(s.k), "K0": s.K0, "K1": s.K1,
+                     "beta": floats(s.beta), "alpha": floats(s.alpha),
+                     "t_delta": floats(s.t_delta), "flags": sorted(s.flags)}
+                    for s in result.samples],
         "summary": result.summary,
     }
 
@@ -321,13 +274,8 @@ def emit_plot_data(result, path):
     for s in result.samples:
         k1 = "nan" if s.K1 is None else _fmt(s.K1)
         lines.append(f"{_fmt(s.time)} {_fmt(s.K0)} {k1}")
-    lines.append("")
-    lines.append("# reference line K = 1")
-    if result.samples:
-        t0 = result.samples[0].time
-        t1 = result.samples[-1].time
-    else:
-        t0 = t1 = 0.0
-    lines.append(f"{_fmt(t0)} 1")
-    lines.append(f"{_fmt(t1)} 1")
+    lines += ["", "# reference line K = 1"]
+    samples = result.samples
+    t0, t1 = (samples[0].time, samples[-1].time) if samples else (0.0, 0.0)
+    lines += [f"{_fmt(t0)} 1", f"{_fmt(t1)} 1"]
     _write(path, "\n".join(lines) + "\n")

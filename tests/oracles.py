@@ -14,6 +14,11 @@ whole-array builds; each rewrite is held to the same output bits.  The
 frozen joint program is also the linear-program cross-check of the
 package's breakpoint sweep, which replaced it.
 
+``reference_evaluate_trajectory``, ``reference_ik_planar3r`` and
+``reference_capability_scalar`` are the per-call trajectory, closed-form IK
+and scalar solve, frozen when each became the one-row view of a kernel
+over a whole stack of times, targets or rows.
+
 ``exact_differential_ik`` is the frozen differential IK with its
 finite-difference Jacobian derivative replaced by Richardson extrapolation
 of the frozen Jacobian, an exact oracle for the package's closed-form
@@ -381,6 +386,68 @@ def reference_inverse_dynamics(model, q, qdot, qddot, gravity):
         force_z += inertial_z
         torques[i] = moment
     return torques
+
+
+def reference_evaluate_trajectory(spec, t):
+    """Object position, velocity and acceleration at time t, on math floats."""
+    if spec.kind == "static-hold":
+        return spec.center, np.zeros(3), np.zeros(3)
+    w = spec.angular_rate
+    angle = w * t
+    radial = np.array([math.cos(angle), 0.0, math.sin(angle)])
+    tangent = np.array([-math.sin(angle), 0.0, math.cos(angle)])
+    return (spec.center + spec.radius * radial, spec.radius * w * tangent,
+            -spec.radius * w * w * radial)
+
+
+def reference_ik_planar3r(model, target):
+    """Closed-form IK of one target: 0, 1 or 2 joint-angle arrays."""
+    p, pitch = target.position, target.pitch
+    base = model.base_position
+    if abs(p[1] - base[1]) > 1e-9:
+        return []
+    l1, l2, l3 = model.link_lengths
+    wrist_u = p[0] - l3 * np.cos(pitch) - base[0]
+    wrist_v = p[2] - l3 * np.sin(pitch) - base[2]
+    rr = wrist_u ** 2 + wrist_v ** 2
+    cos_elbow = (rr - l1 ** 2 - l2 ** 2) / (2.0 * l1 * l2)
+    if abs(cos_elbow) > 1.0 + 1e-9:
+        return []
+    cos_elbow = min(1.0, max(-1.0, cos_elbow))
+    elbow = float(np.arccos(cos_elbow))
+    solutions = []
+    for q2 in (elbow, -elbow):
+        q1 = float(np.arctan2(wrist_v, wrist_u)
+                   - np.arctan2(l2 * np.sin(q2), l1 + l2 * np.cos(q2)))
+        q3 = pitch - q1 - q2
+        solutions.append(np.array([q1, q2, q3]))
+    if np.abs(solutions[0] - solutions[1]).max() < 1e-10:
+        return solutions[:1]
+    return solutions
+
+
+def reference_capability_scalar(problem, moment, unbounded_cap):
+    """One arm's scalar solve, as (k, flag), with inactive rows dropped."""
+    offset = problem.tau_prime + moment
+    a = problem.jt_hd
+    tau = problem.tau_max
+    fixed = a == 0.0
+    if fixed.any():
+        if (np.abs(offset[fixed]) > tau[fixed]).any():
+            return 0.0, FLAG_INFEASIBLE
+        active = ~fixed
+        if not active.any():
+            return float(unbounded_cap), FLAG_UNBOUNDED
+        a, offset, tau = a[active], offset[active], tau[active]
+    lo = (-tau - offset) / a
+    hi = (tau - offset) / a
+    lower = float(max(0.0, np.minimum(lo, hi).max()))
+    upper = float(np.maximum(lo, hi).min())
+    if upper < lower:
+        return 0.0, FLAG_INFEASIBLE
+    if upper > unbounded_cap:
+        return float(unbounded_cap), FLAG_UNBOUNDED
+    return upper, None
 
 
 def _reference_ik_path(model, grasp_point, states):

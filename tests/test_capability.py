@@ -16,11 +16,12 @@ from coopwrench import (CapabilityProblem, ScenarioValidationError,
                         asymmetric_scenario, capability_scalar,
                         group_capability, group_capability_joint,
                         reference_scenario, run_scenario)
-from coopwrench import runner
+from coopwrench import capability, runner
 from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
                                    DEFAULT_UNBOUNDED_CAP, GroupCapability)
 from oracles import (bisect_capability, feasible_wrench_check,
                      joint_optimality_violations,
+                     reference_capability_scalar,
                      reference_group_capability_joint)
 
 
@@ -43,6 +44,41 @@ def with_moment(problem, moment):
         jt_hd=problem.jt_hd, jt_hdelta=np.full(problem.joint_count, moment),
         tau_prime=problem.tau_prime, tau_max=problem.tau_max,
         joint_count=problem.joint_count)
+
+
+@pytest.mark.parametrize("moment", [0.0, -0.3, 0.45])
+def test_scalar_kernel_rows_equal_per_call_solves_bit_for_bit(moment):
+    """A (steps, arms, joints) stack of rows: each gives capability_scalar's
+    and the frozen per-call solve's k and flag.
+
+    A quarter of the jt_hd entries are zero, and every 25th row is all
+    zero; offsets reach past the limits, so some rows are infeasible, and
+    small entries push others past the cap.
+    """
+    rng = np.random.default_rng(65)
+    shape = (100, 4, 3)
+    jt_hd = rng.normal(size=shape) * rng.choice([1.0, 1e-3], size=shape)
+    jt_hd[rng.random(shape) < 0.25] = 0.0
+    jt_hd.reshape(-1, 3)[::25] = 0.0
+    tau_max = rng.uniform(0.5, 2.0, shape[1:])
+    tau_prime = rng.uniform(-1.2, 1.2, shape) * tau_max
+    cap = 50.0
+    k, infeasible, capped = capability._scalar(jt_hd, tau_prime + moment,
+                                               tau_max, cap)
+    flags = []
+    for s, a in np.ndindex(shape[:2]):
+        problem = CapabilityProblem(jt_hd=jt_hd[s, a],
+                                    tau_prime=tau_prime[s, a],
+                                    tau_max=tau_max[a])
+        solve = capability_scalar(problem, moment=moment, unbounded_cap=cap)
+        frozen = reference_capability_scalar(problem, moment, cap)
+        assert solve == frozen
+        assert math.copysign(1.0, solve.k) == math.copysign(1.0, frozen[0])
+        assert float(k[s, a]) == solve.k
+        assert (infeasible[s, a], capped[s, a]) == (
+            solve.flag == FLAG_INFEASIBLE, solve.flag == FLAG_UNBOUNDED)
+        flags.append(solve.flag)
+    assert set(flags) == {None, FLAG_INFEASIBLE, FLAG_UNBOUNDED}
 
 
 def test_single_row_hand_example():
@@ -492,14 +528,17 @@ def test_joint_matches_frozen_reference_along_built_in_paths(scenario,
     """Every joint solve of one refined joint-mode cycle."""
     solves = []
 
-    def checked_joint(problems, moment, **kwargs):
-        result = solve_joint(problems, moment, **kwargs)
-        assert_matches_frozen_program(problems, moment, result, **kwargs)
+    def checked_joint(arms, moment, unbounded_cap):
+        result = solve_joint(arms, moment, unbounded_cap)
+        problems = [CapabilityProblem(*arm) for arm in arms]
+        assert_matches_frozen_program(problems, moment, result, unbounded_cap)
         solves.append(result)
         return result
 
-    solve_joint = runner.group_capability_joint
-    monkeypatch.setattr(runner, "group_capability_joint", checked_joint)
+    # the run feeds each step's rows to the sweep behind
+    # group_capability_joint
+    solve_joint = runner._joint
+    monkeypatch.setattr(runner, "_joint", checked_joint)
     config = dataclasses.replace(scenario(), mode="improved-joint", cycles=1,
                                  beta_iterations=2)
     run_scenario(config)

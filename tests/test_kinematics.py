@@ -5,6 +5,7 @@ Rodrigues' rotation formula, sharing no code with the cumulative-angle
 implementation under test.  Jacobians are checked column-by-column against
 central finite differences of the oracle-verified forward kinematics.
 """
+import dataclasses
 import re
 
 import numpy as np
@@ -17,9 +18,9 @@ from coopwrench import (JointState, ObjectState, Pose,
                         inverse_dynamics, jacobian, joint_positions,
                         reference_scenario, runner, time_grid)
 from coopwrench.dynamics import _inverse_dynamics
-from coopwrench.kinematics import JOINT_AXIS, _differential_ik
-from coopwrench.runner import _solve_ik_paths
-from oracles import (exact_differential_ik, reference_differential_ik,
+from coopwrench.kinematics import JOINT_AXIS, _differential_ik, _ik
+from oracles import (_reference_ik_path, exact_differential_ik,
+                     reference_differential_ik, reference_ik_planar3r,
                      reference_jacobian, reference_joint_positions, rodrigues,
                      transform_chain_fk)
 
@@ -379,12 +380,88 @@ def test_kinematics_match_frozen_reference_along_ik_paths(scenario):
     states = [evaluate_trajectory(config.trajectory, t)
               for t in time_grid(config)]
     zero = np.zeros(3)
+    positions = np.array([state.position for state in states])
     for arm, path in zip(config.manipulators,
-                         _solve_ik_paths(config, states)):
+                         runner._ik_paths(config, positions)):
         for state, q in zip(states, path):
             assert_kinematics_match_reference(
                 arm, q, np.concatenate([state.linear_velocity, zero]),
                 np.concatenate([state.linear_accel, zero]))
+
+
+def ik_targets(arm, rng, count=300):
+    """Wrist points inside the reach, just past it, at the straight-arm
+    boundary (within 1e-11 outside it, so one solution), and off the plane
+    by 2e-9 (no solution) or 5e-10 (still in it)."""
+    l1, l2, _ = arm.link_lengths
+    for i in range(count):
+        reach = (l1 + l2) * [rng.uniform(0.05, 1.0), 1.0 + 1e-8,
+                             1.0 + rng.uniform(0.0, 1e-11), 0.8, 0.8][i % 5]
+        angle = rng.uniform(-np.pi, np.pi)
+        wrist = arm.base_position + reach * np.array(
+            [np.cos(angle), 0.0, np.sin(angle)])
+        wrist[1] += [0.0, 0.0, 0.0, 2e-9, 5e-10][i % 5]
+        yield wrist
+
+
+@pytest.mark.parametrize("pitch", [0.0, 0.7, -2.1])
+@pytest.mark.parametrize("arm", BUILT_IN_ARMS)
+def test_batched_ik_equals_per_call_ik_bit_for_bit(arm, pitch):
+    """Each row of the (T, 2, 3) kernel is ik_planar3r's list, bit for bit,
+    with the one straight-arm branch repeated.
+
+    The frozen per-call solve finds as many solutions, equal to 1e-12.  It
+    squared by scalar ``** 2``, which calls libm pow and misses the
+    correctly rounded x * x of the kernel in the last bit for about one
+    input in a thousand: 12 of the 7200 solutions here move by one ulp.
+    """
+    rng = np.random.default_rng(400 + arm.id)
+    tip = arm.link_lengths[2] * np.array([np.cos(pitch), 0.0, np.sin(pitch)])
+    position = np.array(list(ik_targets(arm, rng))) + tip
+    q, count = _ik(arm, position, pitch)
+    assert set(count.tolist()) == {0, 1, 2}
+    for s, target in enumerate(position):
+        solutions = ik_planar3r(arm, Pose(target, pitch))
+        frozen = reference_ik_planar3r(arm, Pose(target, pitch))
+        assert count[s] == len(solutions) == len(frozen)
+        for branch, expected in enumerate(frozen):
+            assert_same_bits(q[s, branch], solutions[branch])
+            np.testing.assert_allclose(q[s, branch], expected, rtol=0,
+                                       atol=1e-12)
+        if count[s] == 1:
+            assert_same_bits(q[s, 1], q[s, 0])
+
+
+def jittered_layout(seed):
+    """A built-in scenario with its grasp points, circle centre and radius
+    jittered as perfbench/workloads.py jitters them, over one cycle."""
+    rng = np.random.default_rng(600 + seed)
+    config = (reference_scenario, asymmetric_scenario)[seed % 2]()
+    grasps = config.object.grasp_points + rng.uniform(-0.005, 0.005, (4, 3))
+    grasps[:, 1] = 0.0
+    center = config.trajectory.center + rng.uniform(-0.005, 0.005, 3)
+    center[1] = 0.0
+    trajectory = dataclasses.replace(
+        config.trajectory, center=center,
+        radius=config.trajectory.radius * rng.uniform(0.9, 1.1))
+    return dataclasses.replace(
+        config, trajectory=trajectory, dt=0.05, cycles=1,
+        object=dataclasses.replace(config.object, grasp_points=grasps))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_branch_pass_equals_frozen_branch_selection(seed):
+    config = jittered_layout(seed)
+    states = [evaluate_trajectory(config.trajectory, t)
+              for t in time_grid(config)]
+    positions = np.array([state.position for state in states])
+    paths = runner._ik_paths(config, positions)
+    assert paths.shape == (4, len(states), 3)
+    for arm, grasp_point, path in zip(config.manipulators,
+                                      config.object.grasp_points, paths):
+        frozen = _reference_ik_path(arm, grasp_point, states)
+        for q, expected in zip(path, frozen, strict=True):
+            assert_same_bits(q, expected)
 
 
 @pytest.mark.parametrize("length", [1, 2, 4])

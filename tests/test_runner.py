@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from coopwrench import (MODES, AllocationWeights, ExportError, GraspMap,
-                        RunResult, TrajectoryError, TrajectorySpec,
+from coopwrench import (MODES, AllocationWeights, CapabilityProblem,
+                        ExportError, GraspMap, Pose, RunResult,
+                        TrajectoryError, TrajectorySpec,
                         asymmetric_scenario, capability, dynamics,
-                        evaluate_trajectory, export, kinematics,
+                        ee_pose_from_object, evaluate_trajectory, export,
+                        ik_planar3r, kinematics,
                         object_desired_wrench, reference_scenario, runner,
                         run_scenario, summarize, time_grid)
 from coopwrench.runner import emit_plot_data, result_dict
-from oracles import object_wrench_from_ee, reference_run
+from oracles import (object_wrench_from_ee, reference_evaluate_trajectory,
+                     reference_run)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,31 @@ def test_circle_state_quarter_period():
     np.testing.assert_allclose(state.position, [0.35, 0.0, 0.40], atol=1e-12)
     np.testing.assert_allclose(state.linear_velocity,
                                [-0.05 * 0.4 * math.pi, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    reference_scenario().trajectory,
+    TrajectorySpec(kind="static-hold", center=[0.35, -0.0, 0.35])],
+    ids=["circle", "static-hold"])
+def test_batched_trajectory_rows_equal_evaluate_trajectory(spec):
+    """Each row of the whole-grid trajectory is evaluate_trajectory at its
+    time, bit for bit, sign bits included.
+
+    The frozen per-call trajectory took math.cos and math.sin where the
+    kernel takes numpy's, so it is held to 1e-15 instead.
+    """
+    times = time_grid(dataclasses.replace(reference_scenario(),
+                                          trajectory=spec, dt=0.01))
+    states = runner._trajectory(spec, times)
+    assert len(times) > 100
+    for s, t in enumerate(times):
+        state = evaluate_trajectory(spec, t)
+        frozen = reference_evaluate_trajectory(spec, t)
+        for name, old in zip(states._fields, frozen):
+            row, expected = getattr(states, name)[s], getattr(state, name)
+            assert np.array_equal(row, expected)
+            assert np.array_equal(np.signbit(row), np.signbit(expected))
+            np.testing.assert_allclose(row, old, rtol=0, atol=1e-15)
 
 
 def test_static_hold_state_is_constant():
@@ -171,6 +199,25 @@ def test_unreachable_trajectory_reports_step_and_arm():
     assert "cannot reach" in str(info.value)
 
 
+def test_unreachable_report_goes_by_arm_order_then_step():
+    """Arm 3 fails from step 0 and arm 2 only from step 15: the report names
+    arm 2, the first arm in order that fails, at its first failing step."""
+    config = reference_scenario()
+    arms = list(config.manipulators)
+    arms[1] = dataclasses.replace(arms[1], base_position=[0.35, 0.0, -0.085])
+    arms[2] = dataclasses.replace(arms[2], base_position=[-0.16, 0.0, 0.35])
+    config = dataclasses.replace(config, manipulators=tuple(arms), dt=0.05,
+                                 cycles=1)
+    state = evaluate_trajectory(config.trajectory, 0.0)
+    assert not ik_planar3r(arms[2], ee_pose_from_object(
+        state, config.object.grasp_points[2]))
+    with pytest.raises(TrajectoryError) as info:
+        run_scenario(config)
+    assert (info.value.step, info.value.manipulator_id) == (15, 2)
+    assert info.value.target.tolist() == [0.37938926261462363, 0.0,
+                                          0.3154508497187473]
+
+
 def test_velocity_flag_marks_but_does_not_change_capability(short_both):
     slow = dataclasses.replace(
         reference_scenario(),
@@ -188,37 +235,38 @@ def test_velocity_flag_marks_but_does_not_change_capability(short_both):
 
 
 def test_baseline_mode_solves_each_arm_once_per_step(monkeypatch):
-    calls = []
-    solve = capability.capability_scalar
+    """The scalar kernel sees each (step, arm) row exactly once."""
+    rows = []
+    solve = capability._scalar
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return solve(*args, **kwargs)
+    def counted(jt_hd, *args):
+        rows.append(jt_hd.size // jt_hd.shape[-1])
+        return solve(jt_hd, *args)
 
-    # group_capability reaches the solver through the capability module
-    monkeypatch.setattr(runner, "capability_scalar", counted)
-    monkeypatch.setattr(capability, "capability_scalar", counted)
+    # capability_scalar reaches the kernel through the capability module
+    monkeypatch.setattr(runner, "_scalar", counted)
+    monkeypatch.setattr(capability, "_scalar", counted)
     result = run_scenario(dataclasses.replace(
         reference_scenario(), mode="baseline", dt=0.5, cycles=1))
     arms = len(result.config.manipulators)
-    assert len(calls) == arms * len(result.samples) == 4 * 11
+    assert sum(rows) == arms * len(result.samples) == 4 * 11
 
 
 @pytest.mark.parametrize("mode", ["improved-joint", "improved-fixed-alpha"])
-def test_each_arm_problem_is_built_once_per_step(monkeypatch, mode):
+def test_run_builds_no_value_object_per_step(monkeypatch, mode):
+    """Problems, share vectors and poses stay rows of the run's arrays."""
     built = []
-    problem = runner.CapabilityProblem
 
-    def counted(*args, **kwargs):
-        built.append(None)
-        return problem(*args, **kwargs)
+    def counted(self):
+        built.append(type(self).__name__)
 
-    monkeypatch.setattr(runner, "CapabilityProblem", counted)
+    for cls in (CapabilityProblem, AllocationWeights, Pose):
+        monkeypatch.setattr(cls, "__post_init__", counted)
     result = run_scenario(dataclasses.replace(
         asymmetric_scenario(), mode=mode, dt=0.5, cycles=1,
         beta_iterations=2))
-    arms = len(result.config.manipulators)
-    assert len(built) == arms * len(result.samples) == 4 * 11
+    assert len(result.samples) == 11
+    assert built == []
 
 
 def test_run_makes_one_arm_pass_per_arm(monkeypatch):
@@ -253,22 +301,40 @@ def assert_close(actual, expected, tol=1e-9):
     assert abs(actual - expected) <= tol * max(1.0, abs(expected))
 
 
-@pytest.mark.parametrize("beta_iterations", [0, 2])
+def asymmetric_uniform():
+    """The asymmetric scenario with equal shares: the refinement settles
+    at once, and the compensating moment never vanishes."""
+    return dataclasses.replace(asymmetric_scenario(), beta_policy="uniform")
+
+
+def reference_static():
+    """The reference scenario holding the object where its circle starts,
+    where the elbow-out choice of arms 1 and 3 is a tie."""
+    config = reference_scenario()
+    return dataclasses.replace(config, trajectory=TrajectorySpec(
+        kind="static-hold", center=config.trajectory.center + [0.05, 0, 0]))
+
+
+# with 8 passes, some steps of a proportional policy settle before others
+@pytest.mark.parametrize("beta_iterations", [0, 2, 8])
 @pytest.mark.parametrize("mode", ["baseline", "both", "improved-joint"])
-@pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario])
+@pytest.mark.parametrize("scenario", [reference_scenario, asymmetric_scenario,
+                                      asymmetric_uniform, reference_static])
 def test_run_matches_frozen_per_step_pipeline(scenario, mode,
                                               beta_iterations):
-    """The batched arm pass reproduces the step-by-step pipeline.
+    """The whole-grid run reproduces the step-by-step pipeline.
 
     oracles.reference_run solves each arm's differential IK (with the
     frozen finite-difference J-dot) and inverse dynamics at every step on
-    its own; k, K0 and K1 agree to 1e-9 relative, flags exactly.
+    its own, picks IK branches by the frozen selection and makes one
+    capability solve per step and pass; k, K0 and K1 agree to 1e-9
+    relative, flags exactly.
     """
     config = dataclasses.replace(scenario(), mode=mode, dt=0.05, cycles=1,
                                  beta_iterations=beta_iterations)
     samples = run_scenario(config).samples
     frozen = reference_run(config)
-    assert len(samples) == len(frozen) == 101
+    assert len(samples) == len(frozen) == config.step_count + 1
     for sample, expected in zip(samples, frozen):
         assert sample.time == expected.time
         assert sample.flags == expected.flags

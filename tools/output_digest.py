@@ -110,6 +110,7 @@ def checkout_digests(checkout):
 
     Exits with SWEEP_FAILED when the child fails.
     """
+    checkout = os.path.abspath(checkout)  # the child runs inside it
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     child = subprocess.run([sys.executable, os.path.abspath(__file__), _HERE],
                            env=env, cwd=checkout, capture_output=True,
