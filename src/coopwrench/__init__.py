@@ -26,7 +26,6 @@ from .kinematics import (JointState, Pose, differential_ik,
 from .runner import (ExportError, RunResult, TrajectoryError,
                      emit_plot_data, evaluate_trajectory, export, result_dict,
                      run_scenario, summarize, time_grid)
-from .simplex import LinearProgram, SimplexResult, simplex_solve
 
 __version__ = "0.1.0"
 
@@ -34,11 +33,10 @@ __all__ = [
     "AllocationWeights", "CapabilityProblem", "CapabilitySample",
     "ExportError", "FLAG_INFEASIBLE", "FLAG_SINGULAR", "FLAG_UNBOUNDED",
     "FLAG_VELOCITY", "GraspMap", "GroupCapability", "JointState",
-    "LinearProgram",
     "ManipulatorModel", "MODES", "ObjectState", "Pose", "RigidObjectModel",
     "RunResult", "ScenarioConfig", "ScenarioError",
     "ScenarioSyntaxError", "ScenarioValidationError", "SCHEMA_VERSION",
-    "SimplexResult", "TrajectoryError", "TrajectorySpec",
+    "TrajectoryError", "TrajectorySpec",
     "ZeroCapabilityError", "allocate_proportional", "asymmetric_scenario",
     "capability_scalar", "counterbalance_moment", "cuboid_inertia",
     "differential_ik", "ee_pose_from_object", "emit_plot_data",
@@ -47,5 +45,5 @@ __all__ = [
     "group_capability_joint", "ik_planar3r", "inverse_dynamics", "jacobian",
     "joint_positions", "object_desired_wrench", "parse_scenario",
     "reference_scenario", "result_dict", "run_scenario", "scenario_dict",
-    "serialize_scenario", "simplex_solve", "summarize", "time_grid",
+    "serialize_scenario", "summarize", "time_grid",
 ]

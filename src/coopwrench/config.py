@@ -321,6 +321,13 @@ class ScenarioConfig:
         if steps > MAX_GRID_STEPS:
             raise ScenarioValidationError(
                 f"dt/cycles give {steps} time steps, above {MAX_GRID_STEPS}")
+        # a sample's K is at most arms * cap; the summary adds up steps + 1
+        # of them for a mean, and scales a difference of means by 100
+        if not math.isfinite(max(steps + 1, 100) * len(self.manipulators)
+                             * _real(self.unbounded_cap)):
+            raise ScenarioValidationError(
+                "unbounded_cap * manipulator count * max(steps + 1, 100) "
+                "must be finite")
 
     @property
     def step_count(self):

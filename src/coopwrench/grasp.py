@@ -66,16 +66,20 @@ class AllocationWeights:
 
 
 def allocate_proportional(capabilities):
-    """Shares proportional to per-manipulator capability scalars."""
+    """Shares proportional to per-manipulator capability scalars: the
+    one-row view of ``_shares``."""
     k = np.asarray(capabilities, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError(f"capabilities must be finite, got {k.tolist()!r}")
     if (k < 0.0).any():
         raise ValueError("capability scalars must be non-negative")
-    total = float(np.sum(k))
-    if total <= 0.0:
+    if not k.any():
         raise ZeroCapabilityError("group has zero capability; shares undefined")
-    return k / total
+    with np.errstate(over="ignore"):  # reported below
+        shares = _shares(k[None], False)[0]
+    if not shares.any():  # every k divided by an infinite sum
+        raise ValueError("capability scalars must have a finite sum")
+    return shares
 
 
 def _shares(k, uniform):

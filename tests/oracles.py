@@ -4,15 +4,19 @@ Everything here recomputes quantities from first principles with different
 algorithms than the package: forward kinematics by chained homogeneous
 transforms, planar 2R dynamics written out longhand, linear programs by
 brute-force vertex enumeration, and capability scalars by feasibility
-bisection.  None of it imports package internals beyond public data types.
+bisection.  It imports no private name of the package, but it does reuse
+public package functions that their own oracles hold (see
+``reference_run`` and ``joint_optimality_violations``).
 
 The ``reference_*`` kinematics are the package's earlier array formulation,
-frozen verbatim when the step path was rewritten, and ``reference_simplex_solve``
-and ``reference_group_capability_joint`` are the row-by-row assembly of the
-joint program and its standard form, frozen when both were rewritten as
-whole-array builds; each rewrite is held to the same output bits.  The
-frozen joint program is also the linear-program cross-check of the
-package's breakpoint sweep, which replaced it.
+frozen verbatim when the step path was rewritten, and each rewrite is held
+to the same output bits.  ``reference_simplex_solve`` is the only simplex:
+a dense two-phase solver of a ``LinearProgram``, kept row by row as it was
+written and held to no rewrite.  ``joint_program`` states the joint
+capability program; ``reference_group_capability_joint`` solves it with
+that simplex, and ``vertex_enumeration_optimum`` solves it without one.
+Both are cross-checks of the package's breakpoint sweep, which replaced
+the program.
 
 ``reference_evaluate_trajectory``, ``reference_ik_planar3r`` and
 ``reference_capability_scalar`` are the per-call trajectory, closed-form IK
@@ -41,7 +45,8 @@ wrenches through explicit 6x6 maps, and ``feasible_wrench_check`` tests one
 wrench scale against every torque limit.
 """
 import math
-from itertools import accumulate, combinations
+from dataclasses import dataclass
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
@@ -57,8 +62,59 @@ from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_SINGULAR,
 from coopwrench.config import DEFAULT_UNBOUNDED_CAP
 from coopwrench.dynamics import inverse_dynamics
 from coopwrench.kinematics import DifferentialIk, JointState
-from coopwrench.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                                SimplexResult)
+
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+@dataclass(frozen=True, eq=False)
+class LinearProgram:
+    """maximize objective @ x  s.t.  row_lower <= row_coeffs @ x <= row_upper.
+
+    Bounds may be -inf/+inf; a row with equal finite bounds is an equality,
+    and an infinite side constrains nothing (the oracles here drop it, so
+    they do not read a row_lower of +inf or a row_upper of -inf as
+    unsatisfiable).  nonnegative[j] False marks variable j as free.
+    """
+
+    objective: np.ndarray
+    row_coeffs: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    nonnegative: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "objective",
+                           np.asarray(self.objective, dtype=float))
+        object.__setattr__(self, "row_coeffs",
+                           np.atleast_2d(np.asarray(self.row_coeffs,
+                                                    dtype=float)))
+        object.__setattr__(self, "row_lower",
+                           np.asarray(self.row_lower, dtype=float))
+        object.__setattr__(self, "row_upper",
+                           np.asarray(self.row_upper, dtype=float))
+        object.__setattr__(self, "nonnegative",
+                           np.asarray(self.nonnegative, dtype=bool))
+        m, n = self.row_coeffs.shape
+        if self.objective.shape != (n,) or self.nonnegative.shape != (n,):
+            raise ValueError("objective/nonnegative length must match columns")
+        if self.row_lower.shape != (m,) or self.row_upper.shape != (m,):
+            raise ValueError("row bound length must match row count")
+        if not np.isfinite(self.objective).all():
+            raise ValueError("objective must be finite")
+        if not np.isfinite(self.row_coeffs).all():
+            raise ValueError("row coefficients must be finite")
+        if np.isnan(self.row_lower).any() or np.isnan(self.row_upper).any():
+            raise ValueError("row bounds must not be NaN")
+
+
+@dataclass(frozen=True, eq=False)
+class SimplexResult:
+    status: str
+    x: np.ndarray | None = None
+    objective: float | None = None
 
 
 def rodrigues(axis, angle):
@@ -168,9 +224,15 @@ def spatial_rne(model, q, qdot, qddot, gravity):
 
 
 def inequality_rows(lp):
-    """Rewrite a two-sided-row program as pure inequalities D x <= d."""
-    rows, rhs = [], []
+    """Rewrite a two-sided-row program as pure inequalities D x <= d.
+
+    Also returns the indices of the rows of D that every feasible point lies
+    on: the upper side of each equality row, whose lower side follows it.
+    """
+    rows, rhs, on = [], [], []
     for a, lo, up in zip(lp.row_coeffs, lp.row_lower, lp.row_upper):
+        if np.isfinite(lo) and lo == up:
+            on.append(len(rows))
         if np.isfinite(up):
             rows.append(a)
             rhs.append(up)
@@ -182,19 +244,27 @@ def inequality_rows(lp):
         row[j] = -1.0
         rows.append(row)
         rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    return np.array(rows), np.array(rhs), on
 
 
 def vertex_enumeration_optimum(lp, tol=1e-9, chunk=100000):
     """Best objective over all feasible basic points of a bounded program.
 
-    Every n-subset of the inequality rows is solved as a candidate vertex;
-    batches keep the linear algebra vectorized without holding all subsets'
-    matrices at once.  Returns None when no subset yields a feasible point.
+    A vertex lies on every equality row, so each candidate subset holds the
+    upper side of each equality row (they must be linearly independent)
+    plus n minus that many of the other inequality rows, and is solved as a
+    candidate vertex; batches keep the linear algebra vectorized without
+    holding all subsets' matrices at once.  Returns None when no subset
+    yields a feasible point.
     """
-    D, d = inequality_rows(lp)
-    n = lp.objective.size
-    subsets = np.array(list(combinations(range(D.shape[0]), n)))
+    D, d, on = inequality_rows(lp)
+    rest = [i for i in range(D.shape[0]) if i not in on and i - 1 not in on]
+    picks = lp.objective.size - len(on)
+    count = math.comb(len(rest), picks)
+    chosen = np.fromiter(chain.from_iterable(combinations(rest, picks)),
+                         dtype=int, count=count * picks)
+    subsets = np.column_stack([np.tile(np.array(on, dtype=int), (count, 1)),
+                               chosen.reshape(count, picks)])
     best = None
     for start in range(0, subsets.shape[0], chunk):
         idx = subsets[start:start + chunk]
@@ -696,16 +766,16 @@ def _reference_check_cap(unbounded_cap):
                          f"got {unbounded_cap!r}")
 
 
-def reference_group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
-    """Group capability co-optimizing the compensation split.
+def joint_program(problems, unbounded_cap):
+    """The joint capability program as a LinearProgram.
 
     Decision variables are every manipulator's scale k_i >= 0 and free
     shares alpha_i summing to 1; the objective is the summed scale.  Each
-    joint contributes a two-sided torque row.  Explicit caps keep otherwise
-    unbounded scales at the documented ceiling instead of an unbounded
-    verdict.
+    joint contributes a two-sided torque row, the problem's per-joint
+    moment column ``jt_hdelta`` scaling alpha_i.  Explicit caps keep
+    otherwise unbounded scales at the documented ceiling instead of an
+    unbounded verdict.
     """
-    _reference_check_cap(unbounded_cap)
     count = len(problems)
     n_vars = 2 * count
     rows = []
@@ -734,14 +804,21 @@ def reference_group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDE
     objective[:count] = 1.0
     nonneg = np.zeros(n_vars, dtype=bool)
     nonneg[:count] = True
-
-    result = reference_simplex_solve(LinearProgram(
+    return LinearProgram(
         objective=objective,
         row_coeffs=np.array(rows),
         row_lower=np.array(lowers),
         row_upper=np.array(uppers),
         nonnegative=nonneg,
-    ))
+    )
+
+
+def reference_group_capability_joint(problems, *, unbounded_cap=DEFAULT_UNBOUNDED_CAP):
+    """Group capability co-optimizing the compensation split: the joint
+    program solved by the frozen simplex."""
+    _reference_check_cap(unbounded_cap)
+    count = len(problems)
+    result = reference_simplex_solve(joint_program(problems, unbounded_cap))
     if result.status == INFEASIBLE:
         return GroupCapability(np.zeros(count), None,
                                frozenset({FLAG_INFEASIBLE}))

@@ -13,18 +13,18 @@ from coopwrench import (AllocationWeights, CapabilityProblem, GraspMap,
                         JointState, ManipulatorModel, TrajectorySpec,
                         capability_scalar, counterbalance_moment,
                         evaluate_trajectory, export, forward_kinematics,
-                        group_capability, ik_planar3r, inverse_dynamics,
-                        jacobian, object_desired_wrench,
-                        reference_scenario, asymmetric_scenario,
-                        run_scenario, simplex_solve)
-from coopwrench.capability import FLAG_UNBOUNDED, DEFAULT_UNBOUNDED_CAP
-from coopwrench.simplex import OPTIMAL
+                        group_capability, group_capability_joint,
+                        ik_planar3r, inverse_dynamics, jacobian,
+                        object_desired_wrench, reference_scenario,
+                        asymmetric_scenario, run_scenario)
+from coopwrench.capability import (FLAG_INFEASIBLE, FLAG_UNBOUNDED,
+                                   DEFAULT_UNBOUNDED_CAP)
 
 from coopwrench.kinematics import JOINT_AXIS
-from oracles import (bisect_capability, closed_form_2r,
+from oracles import (bisect_capability, closed_form_2r, joint_program,
                      object_wrench_from_ee, rodrigues,
                      vertex_enumeration_optimum)
-from test_simplex import LP_SIZES, boxed_random_lp, capability_lp
+from test_capability import with_moment
 
 
 @pytest.fixture(scope="module")
@@ -113,39 +113,43 @@ def test_scalar_capability_matches_bisection():
           f"<= 1e-8 in {elapsed:.2f} s < 1 s")
 
 
-def test_simplex_matches_vertex_enumeration():
+def test_joint_sweep_matches_vertex_enumeration():
+    """The joint sweep against every vertex of the joint program.
+
+    Random groups of 3-joint arms, some overloaded, at a nonzero moment,
+    so the shares are bounded and the program is a polytope: its best
+    vertex is the optimum, and no vertex means no feasible split.
+    """
     rng = np.random.default_rng(71)
-    worst = 0.0
-    for trial in range(200):
-        n, extra = LP_SIZES[trial % len(LP_SIZES)]
-        lp = boxed_random_lp(rng, n, extra)
-        result = simplex_solve(lp)
-        expected = vertex_enumeration_optimum(lp)
-        assert result.status == OPTIMAL and expected is not None
-        worst = max(worst, abs(result.objective - expected))
-    assert worst <= 1e-7
-    print(f"PASS simplex vs vertex enumeration: 200 programs, "
-          f"max objective gap = {worst:.2e} <= 1e-7")
-
-
-def test_simplex_cross_checks_scalar_solver():
-    rng = np.random.default_rng(72)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        problem = CapabilityProblem(
-            jt_hd=np.where(rng.random(n) < 0.15, 0.0, rng.normal(size=n)),
-            tau_prime=rng.uniform(-0.9, 0.9, n),
-            tau_max=rng.uniform(0.5, 2.0, n),
-        )
-        analytic = capability_scalar(problem)
-        result = simplex_solve(capability_lp(problem))
-        if analytic.flag is None:
-            assert result.status == OPTIMAL
-            worst = max(worst, abs(result.objective - analytic.k))
+    start = time.perf_counter()
+    worst, infeasible = 0.0, 0
+    counts = [1, 2] * 100 + [3] * 12
+    for count in counts:
+        problems = []
+        for _ in range(count):
+            tau_max = rng.uniform(0.5, 2.0, 3)
+            problems.append(CapabilityProblem(
+                jt_hd=np.where(rng.random(3) < 0.15, 0.0,
+                               rng.normal(size=3)),
+                tau_prime=rng.uniform(-1.2, 1.2, 3) * tau_max,
+                tau_max=tau_max))
+        moment = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.5))
+        cap = float(rng.choice([3.0, 50.0]))
+        result = group_capability_joint(problems, moment, unbounded_cap=cap)
+        expected = vertex_enumeration_optimum(joint_program(
+            [with_moment(p, moment) for p in problems], cap))
+        assert (FLAG_INFEASIBLE in result.flags) == (expected is None)
+        if expected is None:
+            infeasible += 1
+        else:
+            worst = max(worst, abs(result.K1 - expected) / abs(expected))
+    elapsed = time.perf_counter() - start
     assert worst <= 1e-9
-    print(f"PASS simplex vs analytic scalar: 200 problems, "
-          f"max |dk| = {worst:.2e} <= 1e-9")
+    assert 0 < infeasible < len(counts)
+    assert elapsed < 5.0
+    print(f"PASS joint sweep vs vertex enumeration: {len(counts)} groups "
+          f"({counts.count(3)} of 3 arms), {infeasible} infeasible on both, "
+          f"max |dK1| / K1 = {worst:.2e} <= 1e-9 in {elapsed:.2f} s")
 
 
 def test_closed_loop_balance_identity():

@@ -1,4 +1,5 @@
 """The public package surface and the README's Python examples."""
+import importlib.util
 import re
 from pathlib import Path
 
@@ -31,6 +32,15 @@ def test_removed_forms_are_gone(module, name):
     assert name not in coopwrench.__all__
     assert not hasattr(coopwrench, name)
     assert not hasattr(getattr(coopwrench, module), name)
+
+
+@pytest.mark.parametrize("name", ["LinearProgram", "SimplexResult",
+                                  "simplex_solve"])
+def test_no_simplex_ships(name):
+    # the joint mode is an exact sweep; the one simplex is the tests' oracle
+    assert name not in coopwrench.__all__
+    assert not hasattr(coopwrench, name)
+    assert importlib.util.find_spec("coopwrench.simplex") is None
 
 
 @pytest.mark.parametrize("name", coopwrench.__all__)

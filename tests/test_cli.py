@@ -249,6 +249,59 @@ def test_overflowing_grasp_target_fails_validate_and_run_alike(
     assert not (tmp_path / "x").exists()
 
 
+CAP_BOUND = ("unbounded_cap * manipulator count * max(steps + 1, 100) "
+             "must be finite")
+
+
+def unbounded_hold(tmp_path, cap, dt="0.5"):
+    """The reference plate held still without gravity for one 5 s cycle:
+    no torque limit binds, so every arm's k is the cap and each K0 is
+    4 * cap."""
+    text = REFERENCE_SCENARIO_TEXT
+    for old, new in [("gravity: 9.8067", "gravity: 0.0"),
+                     ("dt: 0.01", f"dt: {dt}"), ("cycles: 2", "cycles: 1"),
+                     ("kind: circle", "kind: static-hold"),
+                     ("unbounded_cap: 1000000.0",
+                      f"unbounded_cap: {cap:.17e}")]:
+        assert old in text
+        text = text.replace(old, new, 1)
+    return write_scenario(tmp_path, text)
+
+
+def test_run_rejects_a_cap_whose_summary_would_overflow(tmp_path, capsys):
+    # 11 samples of K0 = 4e307 sum to inf: the mean was written as Infinity
+    # and the improvement as NaN, which JSON does not allow
+    path = unbounded_hold(tmp_path, 1.0e+307)
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert main(["run", "--config", str(path), "--dt", "0.5", "--cycles",
+                 "1", "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count(CAP_BOUND) == 2
+    assert "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("dt, samples", [("0.5", 11), ("0.04", 126)])
+def test_largest_accepted_cap_writes_finite_json(tmp_path, capsys, dt,
+                                                 samples):
+    """Below 100 samples the percentage binds, above it the mean's sum."""
+    def refuse(constant):
+        raise AssertionError(f"result.json holds {constant}")
+
+    cap = sys.float_info.max / (max(samples, 100) * 4) * (1.0 - 1e-9)
+    path = unbounded_hold(tmp_path, cap, dt)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == EXIT_OK
+    doc = json.loads((tmp_path / "x" / "result.json").read_text(),
+                     parse_constant=refuse)
+    assert doc["summary"]["sample_count"] == samples
+    assert doc["summary"]["K0"]["mean"] == pytest.approx(4.0 * cap)
+    assert doc["summary"]["improvement_percent"] == 0.0
+    path = unbounded_hold(tmp_path, cap * (1.0 + 2e-9), dt)
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert CAP_BOUND in capsys.readouterr().err
+
+
 def test_run_oversized_grid_exits_before_allocating(tmp_path, capsys,
                                                     monkeypatch):
     def no_grid(config):

@@ -11,7 +11,8 @@ from coopwrench import (ManipulatorModel, RigidObjectModel,
                         ScenarioValidationError, TrajectorySpec,
                         asymmetric_scenario, cuboid_inertia, parse_scenario,
                         reference_scenario, scenario_dict, serialize_scenario)
-from coopwrench.config import REFERENCE_SCENARIO_TEXT, SCENARIO_TEXTS
+from coopwrench.config import (DEFAULT_UNBOUNDED_CAP, MAX_GRID_STEPS,
+                               REFERENCE_SCENARIO_TEXT, SCENARIO_TEXTS)
 
 
 def reparse(doc):
@@ -160,6 +161,20 @@ def test_duplicate_manipulator_ids_rejected():
     doc["manipulators"][1]["id"] = 1
     with pytest.raises(ScenarioValidationError, match="unique"):
         reparse(doc)
+
+
+@pytest.mark.parametrize("scenario", [reference_scenario,
+                                      asymmetric_scenario])
+def test_cap_bound_leaves_the_built_ins_alone(scenario):
+    """The summary's sums stay finite: at the longest grid the default cap
+    passes, and a cap of the largest float over the arm count does not."""
+    config = scenario()
+    longest = dataclasses.replace(
+        config, dt=config.cycles * config.trajectory.period() / MAX_GRID_STEPS)
+    assert longest.step_count == MAX_GRID_STEPS
+    assert longest.unbounded_cap == DEFAULT_UNBOUNDED_CAP
+    with pytest.raises(ScenarioValidationError, match="unbounded_cap"):
+        dataclasses.replace(config, unbounded_cap=1.7e308 / 4)
 
 
 def test_solver_setting_invariants():

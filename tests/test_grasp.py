@@ -5,6 +5,7 @@ import pytest
 from coopwrench import (AllocationWeights, GraspMap, ScenarioValidationError,
                         ZeroCapabilityError, allocate_proportional,
                         counterbalance_moment, reference_scenario)
+from coopwrench.grasp import _shares
 from oracles import grasp_matrix, object_wrench_from_ee, skew
 
 REFERENCE_OFFSETS = np.array([[0.1, 0.0, 0.0], [0.0, 0.0, -0.075],
@@ -120,6 +121,27 @@ def test_allocate_proportional_rejects_zero_and_negative():
 def test_allocate_proportional_rejects_non_finite(capabilities):
     with pytest.raises(ValueError, match="capabilities"):
         allocate_proportional(capabilities)
+
+
+def test_allocate_proportional_rejects_an_overflowing_sum():
+    # each entry is finite, but their sum is inf and every share would be 0
+    with pytest.raises(ValueError, match="finite sum"):
+        allocate_proportional([1e308, 1e308])
+
+
+def test_allocate_proportional_is_the_one_row_view_of_the_share_rule():
+    """Stacked rows through the run's share rule give, row by row, the bits
+    of allocate_proportional and of its former rule k / sum(k)."""
+    rng = np.random.default_rng(34)
+    for count in range(1, 9):
+        k = 10.0 ** rng.uniform(-5.0, 5.0, (500, count))
+        k[rng.random(k.shape) < 0.2] = 0.0
+        k[:, 0] = np.where(k.any(axis=1), k[:, 0], 1.0)
+        stacked = _shares(k, False)
+        for row, shares in zip(k, stacked):
+            single = allocate_proportional(row)
+            assert single.tobytes() == shares.tobytes()
+            assert single.tobytes() == (row / float(np.sum(row))).tobytes()
 
 
 def test_allocation_weights_validation():
